@@ -85,19 +85,25 @@ def _build_parser():
     return parser
 
 
-def _load_json(path):
+def _parse_json(text, source, **detail):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}", path=path) from None
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(
-            f"invalid JSON in {path}: {err.msg} at line {err.lineno} column {err.colno}",
-            path=path,
+            f"invalid JSON in {source}: {err.msg} at line {err.lineno} column {err.colno}",
+            **detail,
             line=err.lineno,
             column=err.colno,
         ) from None
+
+
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}", path=path) from None
+    return _parse_json(text, path, path=path)
 
 
 def _config_diagnostics(obj, task=None):
@@ -154,7 +160,7 @@ def _resolve(args):
     params = dict(cfg.get("parameters", {}))
     if getattr(args, "measure", None):
         text = args.measure
-        obj = json.loads(text) if text.lstrip().startswith("{") else _load_json(text)
+        obj = _parse_json(text, "--measure") if text.lstrip().startswith("{") else _load_json(text)
         measure = parse_measure(obj)
     elif "measure" in cfg:
         measure = parse_measure(cfg["measure"])
@@ -196,8 +202,7 @@ def _anchor_list(params):
 
 
 def _pipeline(measure, n):
-    m = moments(measure, n)
-    return m, build_opuc(schur_from_measure(measure, n), n)
+    return build_opuc(schur_from_measure(measure, n), n)
 
 
 def _run_moments(measure, params):
@@ -218,9 +223,10 @@ def _run_schur(measure, params):
 
 def _run_rule(measure, params):
     n = _require_int(params, "n")
-    m, table = _pipeline(measure, n)
+    table = _pipeline(measure, n)
     inst = sof_combo(table, _family(params), n)
-    rule = rule_from_sof(table, m, inst)
+    # moments on the grid the Schur coefficients were extracted from
+    rule = rule_from_sof(table, moments(measure, 2 * n + 2), inst)
     if params.get("format", "csv") == "json":
         return serialize.rule_json(rule)
     return serialize.rule_csv(rule)
@@ -228,7 +234,7 @@ def _run_rule(measure, params):
 
 def _run_zeros(measure, params):
     n_max = _require_int(params, "n_max")
-    _, table = _pipeline(measure, n_max)
+    table = _pipeline(measure, n_max)
     family = _family(params)
     entries = [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
     if params.get("format", "csv") == "json":
@@ -241,7 +247,7 @@ def _run_interlace(measure, params):
     n_lo = int(params.get("n", 1))
     if n_lo < 1 or n_lo >= n_max:
         raise ConfigError("parameters.n: interlace needs 1 <= n < n_max", field="n")
-    _, table = _pipeline(measure, n_max)
+    table = _pipeline(measure, n_max)
     family = _family(params)
     anchored = float(params.get("a2", 0.0)) == 0.0
     insts = {n: sof_combo(table, family, n) for n in range(n_lo, n_max + 1)}
@@ -266,7 +272,7 @@ def _run_fsequence(measure, params):
         anchors = anchors * n_max
     if len(anchors) < n_max:
         raise ConfigError("parameters.anchor_angles: fewer anchors than n_max")
-    m, table = _pipeline(measure, n_max)
+    table = _pipeline(measure, n_max)
     omega0 = float(params.get("omega0", 0.0))
     seq = f_sequence(table, anchors, n_max, omega0)
     entries = [(inst.index, inst.zeros) for inst in seq]

@@ -1,10 +1,11 @@
 """Probability measures on the unit circle: declarations, moments, extraction.
 
 A measure is declared structurally (absolutely continuous pieces, atoms,
-mixtures), trigonometric moments c_k = integral of z^k d(mu) are computed
-from the declaration, and the Schur parameters are extracted from the
-moments by a Levinson-style recurrence.  All measures are normalized to
-unit total mass, so c_0 = 1 exactly.
+mixtures) and discretized once into positive nodes and weights; the
+trigonometric moments c_k = integral of z^k d(mu), reference integrals and
+value-space Schur extraction all read that discretization.  Schur parameters
+of a bare moment table come from a Levinson-style recurrence.  All measures
+are normalized to unit total mass, so c_0 = 1 exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .poly import ComplexPolynomial, LaurentPolynomial
 
 RESOLUTION_TOL = 1e-10
 _GL_POINTS = 32
+# panels per full circle or arc behind measure_integral: enough for the kink
+# of |sin(theta / 2)| at 0 to integrate to 1e-12
+_INTEGRAL_PANELS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +129,11 @@ ARC_DENSITIES = {
 }
 
 
-def _unknown_name(kind, name, catalog):
-    known = ", ".join(sorted(catalog))
-    return ConfigError(f"unknown {kind} '{name}'; known names: {known}", name=name)
+def _lookup(kind, name, catalog):
+    if name not in catalog:
+        known = ", ".join(sorted(catalog))
+        raise ConfigError(f"unknown {kind} '{name}'; known names: {known}", name=name)
+    return catalog[name]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +155,7 @@ def parse_measure(obj) -> MeasureSpec:
         name = obj.get("name")
         if not isinstance(name, str):
             raise ConfigError("measure.name: density name must be a string")
-        if name not in DENSITIES:
-            raise _unknown_name("density", name, DENSITIES)
+        _lookup("density", name, DENSITIES)
         param = obj.get("param")
         if param is not None and not isinstance(param, (int, float, list)):
             raise ConfigError("measure.param: must be a number or [re, im] pair")
@@ -171,8 +176,7 @@ def parse_measure(obj) -> MeasureSpec:
         name = obj.get("name")
         if not isinstance(name, str):
             raise ConfigError("measure.name: arc density name must be a string")
-        if name not in ARC_DENSITIES:
-            raise _unknown_name("arc density", name, ARC_DENSITIES)
+        _lookup("arc density", name, ARC_DENSITIES)
         arc = obj.get("arc")
         if (
             not isinstance(arc, (list, tuple))
@@ -292,25 +296,6 @@ class MomentTable:
         return np.array([self.get(k) for k in range(int(lo), int(hi) + 1)])
 
 
-def _trapezoid_moments(fn, M, K):
-    theta = TWO_PI * np.arange(M) / M
-    vals = np.asarray(fn(theta), dtype=float)
-    phases = np.exp(1j * np.outer(np.arange(K + 1), theta))
-    return (phases @ vals) * (TWO_PI / M)
-
-
-def _panel_moments(fn, lo, hi, panels, K):
-    x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * wq[None, :]).ravel()
-    vals = np.asarray(fn(theta), dtype=float) * weights
-    phases = np.exp(1j * np.outer(np.arange(K + 1), theta))
-    return phases @ vals
-
-
 def _normalized(raw):
     mass = raw[0].real
     if not mass > 0:
@@ -320,30 +305,80 @@ def _normalized(raw):
     return out
 
 
-def _raw_checked(spec, K):
-    """Normalized moments for one absolutely continuous piece, with the
-    grid-doubling consistency check."""
+# ---------------------------------------------------------------------------
+# discretization
+
+
+def _gl_panels(lo, hi, P):
+    """Nodes and weights of P equal Gauss-Legendre panels covering [lo, hi]."""
+    x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
+    edges = np.linspace(lo, hi, P + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return theta, (half[:, None] * wq[None, :]).ravel()
+
+
+def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True):
+    """Positive unit-mass discretization (theta, weights) of the measure.
+
+    Accurate for trigonometric integrands of degree up to K; each level
+    doubles the resolution.  Full-circle densities use the periodic
+    trapezoid rule, spectrally accurate for smooth periodic integrands;
+    periodic=False puts Gauss-Legendre panels there as well, for integrands
+    that are merely continuous.  Arcs always use panels, atoms are taken as
+    given and mixtures concatenate their components.
+    """
+    scale = 2**level
+    if isinstance(spec, Atomic):
+        angles = np.array([a for a, _ in spec.atoms], dtype=float)
+        weights = np.array([w for _, w in spec.atoms], dtype=float)
+        if np.any(weights <= 0):
+            raise ValueError("atom weights must be strictly positive")
+        return angles, weights / weights.sum()
+    if isinstance(spec, Mixture):
+        weights = np.array([w for w, _ in spec.components], dtype=float)
+        weights = weights / weights.sum()
+        parts = [_discretize(child, K, level, periodic) for _, child in spec.components]
+        return (
+            np.concatenate([t for t, _ in parts]),
+            np.concatenate([wgt * w for wgt, (_, w) in zip(weights, parts)]),
+        )
+    if isinstance(spec, Lebesgue):
+        spec = Density(name="uniform")
     if isinstance(spec, Density):
-        fn = DENSITIES.get(spec.name)
-        if fn is None:
-            raise _unknown_name("density", spec.name, DENSITIES)
+        fn = _lookup("density", spec.name, DENSITIES)
         rho = lambda t: fn(t, spec.param)
-        M = max(int(spec.grid or 0), 8 * K, 512)
-        coarse = _normalized(_trapezoid_moments(rho, M, K))
-        fine = _normalized(_trapezoid_moments(rho, 2 * M, K))
-    else:
-        fn = ARC_DENSITIES.get(spec.name)
-        if fn is None:
-            raise _unknown_name("arc density", spec.name, ARC_DENSITIES)
+        if periodic:
+            M = scale * max(int(spec.grid or 0), 8 * K, 512)
+            theta = TWO_PI * np.arange(M) / M
+            w = np.asarray(rho(theta), dtype=float)
+            return theta, w / w.sum()
+        lo, hi, P = 0.0, TWO_PI, max(K, 32)
+    elif isinstance(spec, ArcDensity):
+        fn = _lookup("arc density", spec.name, ARC_DENSITIES)
         lo, hi = spec.arc
         rho = lambda t: fn(t, lo, hi, spec.param)
         P = max(int(spec.panels or 0), K, 32)
-        coarse = _normalized(_panel_moments(rho, lo, hi, P, K))
-        fine = _normalized(_panel_moments(rho, lo, hi, 2 * P, K))
-    drift = float(np.max(np.abs(fine - coarse)))
+    else:
+        raise TypeError(f"not a measure spec: {spec!r}")
+    theta, w = _gl_panels(lo, hi, scale * P)
+    w = w * np.asarray(rho(theta), dtype=float)
+    return theta, w / w.sum()
+
+
+def _resolved(spec: MeasureSpec, K: int, compute, what: str) -> np.ndarray:
+    """compute(theta, weights) on the discretization and on its doubling.
+
+    The finer result is returned once the two agree to RESOLUTION_TOL;
+    otherwise the grid is too coarse for the declared density.
+    """
+    coarse = compute(*_discretize(spec, K, 0))
+    fine = compute(*_discretize(spec, K, 1))
+    drift = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
     if drift > RESOLUTION_TOL:
         raise IntegrationResolution(
-            f"moment drift {drift:.3e} under grid doubling exceeds {RESOLUTION_TOL:.0e}; "
+            f"{what} drift {drift:.3e} under grid doubling exceeds {RESOLUTION_TOL:.0e}; "
             "declare a finer grid for this density",
             drift=drift,
         )
@@ -356,77 +391,20 @@ def moments(spec: MeasureSpec, K: int) -> MomentTable:
     if K < 0:
         raise ValueError("K must be nonnegative")
     if isinstance(spec, Lebesgue):
+        # closed form: the trapezoid sums of roots of unity are not exactly 0
         c = np.zeros(K + 1, dtype=complex)
-        c[0] = 1.0
-        return MomentTable(c)
-    if isinstance(spec, Atomic):
-        angles = np.array([a for a, _ in spec.atoms])
-        weights = np.array([w for _, w in spec.atoms])
-        if np.any(weights <= 0):
-            raise ValueError("atom weights must be strictly positive")
-        weights = weights / weights.sum()
-        phases = np.exp(1j * np.outer(np.arange(K + 1), angles))
-        return MomentTable(_normalized(phases @ weights))
-    if isinstance(spec, (Density, ArcDensity)):
-        return MomentTable(_raw_checked(spec, K))
-    if isinstance(spec, Mixture):
-        weights = np.array([w for w, _ in spec.components], dtype=float)
-        weights = weights / weights.sum()
-        c = np.zeros(K + 1, dtype=complex)
-        for wgt, (_, child) in zip(weights, spec.components):
-            c += wgt * moments(child, K).c
-        return MomentTable(_normalized(c))
-    raise TypeError(f"not a measure spec: {spec!r}")
+    else:
+        ks = np.arange(K + 1)
+        c = _resolved(spec, K, lambda t, w: np.exp(1j * np.outer(ks, t)) @ w, "moment")
+    c[0] = 1.0
+    return MomentTable(c)
 
 
 def measure_integral(spec: MeasureSpec, fn) -> float:
     """Integral of a continuous real function of the angle against the
     unit-mass measure; reference values for convergence probes."""
-    if isinstance(spec, Lebesgue):
-        x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
-        edges = np.linspace(0.0, TWO_PI, 65)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wq[None, :]).ravel() / TWO_PI
-        return float(np.dot(weights, np.asarray(fn(theta), dtype=float)))
-    if isinstance(spec, Atomic):
-        angles = np.array([a for a, _ in spec.atoms])
-        weights = np.array([w for _, w in spec.atoms])
-        weights = weights / weights.sum()
-        return float(np.dot(weights, np.asarray(fn(angles), dtype=float)))
-    if isinstance(spec, Density):
-        rho = DENSITIES[spec.name]
-        x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
-        edges = np.linspace(0.0, TWO_PI, 129)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wq[None, :]).ravel() * np.asarray(
-            rho(theta, spec.param), dtype=float
-        )
-        mass = weights.sum()
-        return float(np.dot(weights, np.asarray(fn(theta), dtype=float)) / mass)
-    if isinstance(spec, ArcDensity):
-        rho = ARC_DENSITIES[spec.name]
-        lo, hi = spec.arc
-        x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
-        edges = np.linspace(lo, hi, 129)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wq[None, :]).ravel() * np.asarray(
-            rho(theta, lo, hi, spec.param), dtype=float
-        )
-        mass = weights.sum()
-        return float(np.dot(weights, np.asarray(fn(theta), dtype=float)) / mass)
-    if isinstance(spec, Mixture):
-        weights = np.array([w for w, _ in spec.components], dtype=float)
-        weights = weights / weights.sum()
-        return float(
-            sum(w * measure_integral(child, fn) for w, (_, child) in zip(weights, spec.components))
-        )
-    raise TypeError(f"not a measure spec: {spec!r}")
+    theta, w = _discretize(spec, _INTEGRAL_PANELS, periodic=False)
+    return float(np.asarray(fn(theta), dtype=float) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -514,52 +492,6 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     return SchurSequence(out)
 
 
-def _discretize(spec: MeasureSpec, n_max: int, factor: int = 1):
-    """Positive-weight discretization of the measure, accurate for
-    trigonometric integrands of degree up to 2 n_max + 2."""
-    K = 2 * n_max + 2
-    if isinstance(spec, Lebesgue):
-        M = factor * max(8 * K, 512)
-        return TWO_PI * np.arange(M) / M, np.full(M, 1.0 / M)
-    if isinstance(spec, Atomic):
-        angles = np.array([a for a, _ in spec.atoms], dtype=float)
-        weights = np.array([w for _, w in spec.atoms], dtype=float)
-        return angles, weights / weights.sum()
-    if isinstance(spec, Density):
-        fn = DENSITIES.get(spec.name)
-        if fn is None:
-            raise _unknown_name("density", spec.name, DENSITIES)
-        M = factor * max(int(spec.grid or 0), 8 * K, 512)
-        theta = TWO_PI * np.arange(M) / M
-        w = np.asarray(fn(theta, spec.param), dtype=float)
-        return theta, w / w.sum()
-    if isinstance(spec, ArcDensity):
-        fn = ARC_DENSITIES.get(spec.name)
-        if fn is None:
-            raise _unknown_name("arc density", spec.name, ARC_DENSITIES)
-        lo, hi = spec.arc
-        P = factor * max(int(spec.panels or 0), K, 32)
-        x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
-        edges = np.linspace(lo, hi, P + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        w = (half[:, None] * wq[None, :]).ravel() * np.asarray(
-            fn(theta, lo, hi, spec.param), dtype=float
-        )
-        return theta, w / w.sum()
-    if isinstance(spec, Mixture):
-        weights = np.array([w for w, _ in spec.components], dtype=float)
-        weights = weights / weights.sum()
-        thetas, ws = [], []
-        for wgt, (_, child) in zip(weights, spec.components):
-            t, w = _discretize(child, n_max, factor)
-            thetas.append(t)
-            ws.append(wgt * w)
-        return np.concatenate(thetas), np.concatenate(ws)
-    raise TypeError(f"not a measure spec: {spec!r}")
-
-
 def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     """Schur coefficients of a discrete measure by Gram-Schmidt on node
     values: a_{n+1} = -<z Phi_n, 1>/e_n with the inner products evaluated
@@ -610,16 +542,8 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    coarse = _value_extract(*_discretize(spec, n_max, 1), n_max)
-    fine = _value_extract(*_discretize(spec, n_max, 2), n_max)
-    drift = float(np.max(np.abs(fine - coarse))) if n_max else 0.0
-    if drift > RESOLUTION_TOL:
-        raise IntegrationResolution(
-            f"Schur drift {drift:.3e} under grid doubling exceeds {RESOLUTION_TOL:.0e}; "
-            "declare a finer grid for this density",
-            drift=drift,
-        )
-    return SchurSequence(fine)
+    extract = lambda t, w: _value_extract(t, w, n_max)
+    return SchurSequence(_resolved(spec, 2 * n_max + 2, extract, "Schur"))
 
 
 def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:

@@ -118,19 +118,7 @@ def second_kind(schur: SchurSequence, n_max: int) -> list[ComplexPolynomial]:
     which downstream code (second-kind semi-orthogonal functions, sign
     probes) relies on.
     """
-    n_max = int(n_max)
-    if n_max > schur.max_order:
-        raise ValueError(
-            f"n_max = {n_max} exceeds the {schur.max_order} available Schur coefficients"
-        )
-    omega = [ComplexPolynomial([1.0])]
-    star = [ComplexPolynomial([1.0])]
-    for n in range(n_max):
-        a = schur.a(n + 1)
-        nxt = omega[n].shifted(1) + (-a) * star[n]
-        omega.append(nxt)
-        star.append(nxt.conj_reverse(n + 1))
-    return omega
+    return list(build_opuc(SchurSequence(-schur.coefficients[:n_max]), n_max).phi)
 
 
 def _check_on_circle(z):

@@ -155,25 +155,34 @@ class SofInstance:
         return -1j * np.conj(self.alpha), 1j * self.alpha
 
 
-def _instance_from_alpha(table, n, alpha, w, anchor_angle, omega0, label, index=None):
-    numerator = (-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n]
+def _located(**fields) -> SofInstance:
+    """Member with the given fields and its n circle zeros in its window."""
+    inst = SofInstance(zeros=None, **fields)
+    return replace(inst, zeros=circle_zero_angles(inst.value, inst.n, inst.omega0))
 
-    def real_form(theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.real(numerator.at_angle(theta) * half_power(theta, -n))
 
-    zeros = circle_zero_angles(real_form, n, omega0)
-    return SofInstance(
+def _instance_from_alpha(table, n, alpha, w, anchor_angle, omega0, label):
+    return _located(
         n=n,
-        index=n if index is None else int(index),
-        numerator=numerator,
+        index=n,
+        numerator=(-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n],
         alpha=complex(alpha),
         w=w,
         anchor_angle=anchor_angle,
         omega0=float(omega0),
-        zeros=zeros,
         label=label,
     )
+
+
+def _pin_anchor(inst: SofInstance) -> SofInstance:
+    """Snap a computed zero within 1e-9 of the anchor onto the anchor, for
+    members that have the anchor as an exact zero."""
+    zeros = np.array(inst.zeros)
+    near = circular_distance(zeros, inst.anchor_angle) <= _ANCHOR_TOL
+    if not np.any(near):
+        return inst
+    zeros[near] = fold_angle(inst.anchor_angle, inst.omega0)
+    return replace(inst, zeros=np.sort(zeros))
 
 
 def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
@@ -187,14 +196,7 @@ def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
         # cannot happen for Schur parameters inside the disk; guards bad tables
         raise DegenerateAnchor(f"Phi_{n} vanishes at the anchor", n=n, anchor=angle)
     alpha = half_power(angle, -n) * phi_w
-    inst = _instance_from_alpha(table, n, alpha, w, angle, omega0, label=f"f1(n={n})")
-    # the anchor is an exact zero of this form; pin the computed one to it
-    zeros = np.array(inst.zeros)
-    near = circular_distance(zeros, angle) <= _ANCHOR_TOL
-    if np.any(near):
-        zeros[near] = fold_angle(angle, omega0)
-        inst = replace(inst, zeros=np.sort(zeros))
-    return inst
+    return _pin_anchor(_instance_from_alpha(table, n, alpha, w, angle, omega0, f"f1(n={n})"))
 
 
 def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
@@ -209,7 +211,7 @@ def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
     if abs(omega_w) < 1e-13:
         raise DegenerateAnchor(f"Omega_{n} vanishes at the anchor", n=n, anchor=angle)
     alpha = -1j * half_power(angle, -n) * omega_w
-    return _instance_from_alpha(table, n, alpha, w, angle, omega0, label=f"f2(n={n})")
+    return _instance_from_alpha(table, n, alpha, w, angle, omega0, f"f2(n={n})")
 
 
 def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
@@ -248,16 +250,10 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
             f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
         )
     alpha = half_power(angle, -m) * value
-    inst = _instance_from_alpha(table, n, alpha, w, angle, spec.omega0, label=label)
+    inst = _instance_from_alpha(table, n, alpha, w, angle, spec.omega0, label)
+    # without a second-kind part the anchor is an exact zero
     anchored = spec.a2 == 0 if spec.mode == "combo" else spec.B(w) == 0
-    if anchored:
-        # second-kind part absent, so the anchor is an exact zero; pin it
-        zeros = np.array(inst.zeros)
-        near = circular_distance(zeros, angle) <= _ANCHOR_TOL
-        if np.any(near):
-            zeros[near] = fold_angle(angle, spec.omega0)
-            inst = replace(inst, zeros=np.sort(zeros))
-    return inst
+    return _pin_anchor(inst) if anchored else inst
 
 
 def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:
@@ -306,23 +302,15 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
         psi = christoffel_modify(table, w, 2 * k - 1)[2 * k - 1]
         psi_star = psi.conj_reverse(2 * k - 1)
         m_poly = table.phi_star[2 * k](w) * psi.shifted(1) + table.phi[2 * k](w) * psi_star
-        numerator = complex(half_power(angle, -2 * k)) * m_poly
-
-        def real_form(theta, _num=numerator, _k=k):
-            theta = np.asarray(theta, dtype=float)
-            return np.real(_num.at_angle(theta) * np.exp(-1j * _k * theta))
-
-        zeros = circle_zero_angles(real_form, 2 * k, omega0)
         out.append(
-            SofInstance(
+            _located(
                 n=2 * k,
                 index=idx,
-                numerator=numerator,
+                numerator=complex(half_power(angle, -2 * k)) * m_poly,
                 alpha=None,
                 w=w,
                 anchor_angle=angle,
                 omega0=float(omega0),
-                zeros=zeros,
                 label=f"F_{idx}",
             )
         )

@@ -259,6 +259,16 @@ def test_bad_measure_exits_2(capsys):
     assert "bernstein_szego" in doc["message"]
 
 
+def test_malformed_inline_measure_exits_2(capsys):
+    rc, out, err = run(capsys, ["moments", "--measure", '{"variant": "lebesgue"', "--n", "4"])
+    assert rc == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"].startswith("invalid JSON in --measure")
+    assert doc["line"] == 1
+
+
 def test_missing_required_flag_exits_2(capsys):
     rc, _, err = run(capsys, ["rule"])
     assert rc == 2

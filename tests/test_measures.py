@@ -212,6 +212,12 @@ def test_measure_integral_examples():
     assert abs(got - 2 / np.pi) < 1e-10
 
 
+
+def test_measure_integral_unknown_density_is_config_error():
+    with pytest.raises(ConfigError):
+        measure_integral(Density(name="nope"), np.cos)
+
+
 # ---------------------------------------------------------------------------
 # inner products
 
@@ -314,6 +320,13 @@ def test_schur_from_measure_atomic_degenerates_identically():
     with pytest.raises(NotPositiveDefinite) as exc:
         schur_from_measure(Atomic(atoms=((0.0, 0.5), (np.pi, 0.5))), 6)
     assert exc.value.detail["n"] == 2
+
+
+def test_negative_atom_weight_rejected_by_both_routes():
+    spec = Atomic(atoms=((0.0, 1.0), (1.0, -0.4), (2.0, 1.0)))
+    for route in (moments, schur_from_measure):
+        with pytest.raises(ValueError, match="atom weights must be strictly positive"):
+            route(spec, 4)
 
 
 def test_moments_from_schur_needs_enough_coefficients():
