@@ -1,10 +1,10 @@
 """Rules of every order from a single anchor.
 
 A first-kind member of even degree n gives an n-node rule directly.  Odd
-orders come from a detour: modify the measure by |z - w|^2, build the
-first-kind member there, and let the anchor itself rejoin as the extra
-node.  The alternating sequence F_1, F_2, ... packages that bookkeeping;
-this script unpacks it.
+orders belong to the measure modified by |z - w|^2: the first-kind member
+of the same order divided by (z - w) is the modified member, and the
+anchor itself rejoins as the extra node.  The alternating sequence
+F_1, F_2, ... packages that bookkeeping; this script unpacks it.
 """
 
 import numpy as np
@@ -47,8 +47,8 @@ for inst in seq[:5]:
         f"anchor among nodes: {anchored}"
     )
 
-# 3. what the odd detour means: the zeros of F_{2k+1} are exactly the zeros
-#    of the base first-kind member of the same order, minus the anchor
+# 3. how the odd members are built: the zeros of F_{2k+1} are exactly the
+#    zeros of the base first-kind member of the same order, minus the anchor
 n_odd = 7
 member = seq[n_odd - 1]
 base = sof_f1(table, n_odd, w)
@@ -58,9 +58,19 @@ print("  augmented:", np.array2string(aug, precision=8))
 print("  first kind:", np.array2string(np.sort(base.zeros), precision=8))
 print(f"  max gap: {np.max(np.abs(aug - np.sort(base.zeros))):.2e}")
 
-# 4. the modified-measure polynomials behind the odd members, explicitly:
-#    psi_j is the monic orthogonal family for |z - w|^2 d(mu)
-psi = christoffel_modify(table, w, 3)
+# 4. why they belong to the modified measure: with psi_j the monic family of
+#    |z - w|^2 d(mu), the numerator of F_{2k+1} is a multiple of
+#    Phi_2k*(w) z psi_{2k-1}(z) + Phi_2k(w) psi_{2k-1}*(z)
+k = n_odd // 2
+psi = christoffel_modify(table, w, 2 * k - 1)
 print("\nmonic family of the |z - w|^2-modified measure:")
 for j, p in enumerate(psi):
     print(f"  psi_{j}: degree {p.degree}, coefficients {np.array2string(p.coeffs, precision=4)}")
+last = psi[-1]
+direct = table.phi_star[2 * k](w) * last.shifted(1) + table.phi[2 * k](w) * last.conj_reverse(2 * k - 1)
+num, ref = member.numerator.coeffs, direct.coeffs
+scale = np.vdot(ref, num) / np.vdot(ref, ref)
+print(
+    f"F_{n_odd} numerator vs the modified-measure combination: "
+    f"relative misfit {np.linalg.norm(num - scale * ref) / np.linalg.norm(num):.2e}"
+)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from .measures import (
     parse_measure,
     schur_from_measure,
 )
-from .opuc import build_opuc
+from .opuc import build_opuc, second_kind
 from .quadrature import rule_from_sof
 from .sof import SofFamilySpec, f_sequence, interlace_check, sof_combo
 from .support import support_estimate
@@ -45,20 +44,6 @@ _FLOAT_PARAMS = {"anchor_angle", "omega0", "epsilon", "a1", "a2"}
 _LIST_PARAMS = {"anchor_angles"}
 _STR_PARAMS = {"format", "out"}
 _KNOWN_PARAMS = _INT_PARAMS | _FLOAT_PARAMS | _LIST_PARAMS | _STR_PARAMS
-
-
-def thread_count() -> int:
-    """Worker count from SZEGO_QUAD_THREADS: unset/1 sequential, 0 = all cores."""
-    raw = os.environ.get("SZEGO_QUAD_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"SZEGO_QUAD_THREADS must be an integer, got {raw!r}") from None
-    if val < 0:
-        raise ConfigError(f"SZEGO_QUAD_THREADS must be nonnegative, got {val}")
-    return val if val > 0 else (os.cpu_count() or 1)
 
 
 def _build_parser():
@@ -236,7 +221,8 @@ def _run_zeros(measure, params):
     n_max = _require_int(params, "n_max")
     table = _pipeline(measure, n_max)
     family = _family(params)
-    entries = [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
+    omegas = second_kind(table.schur, n_max)
+    entries = [(n, sof_combo(table, family, n, omegas).zeros) for n in range(1, n_max + 1)]
     if params.get("format", "csv") == "json":
         return serialize.zero_rows_json(entries)
     return serialize.zero_rows_csv(entries)
@@ -250,7 +236,8 @@ def _run_interlace(measure, params):
     table = _pipeline(measure, n_max)
     family = _family(params)
     anchored = float(params.get("a2", 0.0)) == 0.0
-    insts = {n: sof_combo(table, family, n) for n in range(n_lo, n_max + 1)}
+    omegas = second_kind(table.schur, n_max)
+    insts = {n: sof_combo(table, family, n, omegas) for n in range(n_lo, n_max + 1)}
     results = []
     for n in range(n_lo, n_max):
         res = interlace_check(
@@ -292,9 +279,7 @@ def _run_support(measure, params):
         raise ConfigError("support emits a JSON report; csv is not available for this task")
     anchors = [np.exp(1j * a) for a in _anchor_list(params)]
     n_min = params.get("n_min")
-    est = support_estimate(
-        measure, anchors, n_max, epsilon, n_min=n_min, threads=thread_count()
-    )
+    est = support_estimate(measure, anchors, n_max, epsilon, n_min=n_min)
     return serialize.support_json(est)
 
 

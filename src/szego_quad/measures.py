@@ -54,9 +54,10 @@ class Lebesgue:
 class Density:
     """Smooth density on the full circle, drawn from the built-in catalog.
 
-    The grid attribute is a lower bound on the trapezoid resolution; the
-    moment computation never uses fewer than max(grid, 8*K, 512) points and
-    always cross-checks against the doubled grid.
+    The grid attribute is a lower bound on the number of sample points: the
+    moment computation never uses fewer than max(grid, 8*K, 512) trapezoid
+    points, measure_integral never fewer than grid Gauss-Legendre nodes, and
+    both always cross-check against the doubled grid.
     """
 
     name: str
@@ -354,7 +355,7 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
             theta = TWO_PI * np.arange(M) / M
             w = np.asarray(rho(theta), dtype=float)
             return theta, w / w.sum()
-        lo, hi, P = 0.0, TWO_PI, max(K, 32)
+        lo, hi, P = 0.0, TWO_PI, max(K, 32, -(-int(spec.grid or 0) // _GL_POINTS))
     elif isinstance(spec, ArcDensity):
         fn = _lookup("arc density", spec.name, ARC_DENSITIES)
         lo, hi = spec.arc
@@ -367,14 +368,14 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
     return theta, w / w.sum()
 
 
-def _resolved(spec: MeasureSpec, K: int, compute, what: str) -> np.ndarray:
+def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic: bool = True):
     """compute(theta, weights) on the discretization and on its doubling.
 
     The finer result is returned once the two agree to RESOLUTION_TOL;
     otherwise the grid is too coarse for the declared density.
     """
-    coarse = compute(*_discretize(spec, K, 0))
-    fine = compute(*_discretize(spec, K, 1))
+    coarse = compute(*_discretize(spec, K, 0, periodic))
+    fine = compute(*_discretize(spec, K, 1, periodic))
     drift = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
     if drift > RESOLUTION_TOL:
         raise IntegrationResolution(
@@ -402,9 +403,10 @@ def moments(spec: MeasureSpec, K: int) -> MomentTable:
 
 def measure_integral(spec: MeasureSpec, fn) -> float:
     """Integral of a continuous real function of the angle against the
-    unit-mass measure; reference values for convergence probes."""
-    theta, w = _discretize(spec, _INTEGRAL_PANELS, periodic=False)
-    return float(np.asarray(fn(theta), dtype=float) @ w)
+    unit-mass measure; reference values for convergence probes.  Checked by
+    grid doubling like the moments."""
+    integrate = lambda t, w: np.asarray(fn(t), dtype=float) @ w
+    return float(_resolved(spec, _INTEGRAL_PANELS, integrate, "integral", periodic=False))
 
 
 # ---------------------------------------------------------------------------

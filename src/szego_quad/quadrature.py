@@ -188,6 +188,20 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
     return float(np.max(np.abs(vals - ref)))
 
 
+def _kernel_rule(table: OpucTable, m: MomentTable, angles, order, omega0, source):
+    """Rule on the given nodes with weights H_k = 1 / K_{n-1}(z_k, z_k), the
+    exactness defect over the Laurent window |k| <= n - 1 stamped on it."""
+    weights = 1.0 / kernel_diag(table, order - 1, np.exp(1j * angles))
+    return QuadratureRule(
+        order=order,
+        node_angles=angles,
+        weights=weights,
+        omega0=float(omega0),
+        source=source,
+        exactness_residual=_exactness_residual(m, angles, weights, order),
+    )
+
+
 def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -> QuadratureRule:
     """Szego rule on the zeros of an invariant polynomial, kernel weights.
 
@@ -195,18 +209,8 @@ def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -
     kernel sum; the measured exactness defect over the Laurent window
     |k| <= n - 1 is stamped on the rule for inspection.
     """
-    angles = pop_zeros(pop, omega0)
-    weights = 1.0 / kernel_diag(table, pop.order - 1, np.exp(1j * angles))
-    resid = _exactness_residual(m, angles, weights, pop.order)
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
-    return QuadratureRule(
-        order=pop.order,
-        node_angles=angles,
-        weights=weights,
-        omega0=float(omega0),
-        source=src,
-        exactness_residual=resid,
-    )
+    return _kernel_rule(table, m, pop_zeros(pop, omega0), pop.order, omega0, src)
 
 
 def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> QuadratureRule:
@@ -222,17 +226,8 @@ def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> Quadra
         angles = np.append(angles, fold_angle(inst.anchor_angle, omega0))
     elif order != len(angles):
         raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
-    angles = np.sort(angles)
-    weights = 1.0 / kernel_diag(table, order - 1, np.exp(1j * angles))
-    resid = _exactness_residual(m, angles, weights, order)
-    return QuadratureRule(
-        order=order,
-        node_angles=angles,
-        weights=weights,
-        omega0=omega0,
-        source=f"sof({inst.label})" if getattr(inst, "label", "") else "sof",
-        exactness_residual=resid,
-    )
+    src = f"sof({inst.label})" if getattr(inst, "label", "") else "sof"
+    return _kernel_rule(table, m, np.sort(angles), order, omega0, src)
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:

@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circle import TWO_PI, circular_distance, fold_angle, half_power
+from .circle import circular_distance, fold_angle, half_power
 from .errors import DegenerateAnchor, OffCircle, PhaseLeak, ZeroCoefficient
-from .measures import christoffel_modify
 from .opuc import CIRCLE_TOL, OpucTable, second_kind
 from .poly import ComplexPolynomial
 from .quadrature import circle_zero_angles
@@ -140,13 +139,8 @@ class SofInstance:
     def realization(self) -> RealCircleFunction:
         return RealCircleFunction(self.numerator, self.n, self.label)
 
-    def value_complex(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.numerator.at_angle(theta) * half_power(theta, -self.n)
-
     def value(self, theta):
-        vals = self.value_complex(theta)
-        return float(np.real(vals)) if np.ndim(theta) == 0 else np.real(vals)
+        return self.realization()(theta)
 
     def as_pop_pair(self):
         """(alpha, beta) such that numerator = alpha Phi_n + beta Phi_n*."""
@@ -260,11 +254,11 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
     """Alternating anchor sequence F_1..F_count.
 
     Even indices are first-kind members of the base measure; odd index
-    2k + 1 is built on the modified measure |z - w|^2 d(mu): its numerator is
-    w^{-k} (Phi_2k*(w) z psi_{2k-1}(z) + Phi_2k(w) psi_{2k-1}*(z)), a
-    1-invariant polynomial of degree 2k whose zeros avoid the anchor; the
-    anchor re-enters as the extra quadrature node.  F_1 is the constant 1
-    with no zeros.
+    2k + 1 belongs to the modified measure |z - w|^2 d(mu): its numerator is
+    the first-kind numerator of degree 2k + 1 divided by (z - w), a
+    1-invariant polynomial of degree 2k whose zeros are those of the
+    first-kind member without the anchor; the anchor re-enters as the extra
+    quadrature node.  F_1 is the constant 1 with no zeros.
     """
     count = int(count)
     if count < 1:
@@ -294,26 +288,21 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
                 )
             )
             continue
-        if idx % 2 == 0:
-            inst = sof_f1(table, idx, w, omega0)
-            out.append(replace(inst, label=f"F_{idx}"))
-            continue
-        k = idx // 2
-        psi = christoffel_modify(table, w, 2 * k - 1)[2 * k - 1]
-        psi_star = psi.conj_reverse(2 * k - 1)
-        m_poly = table.phi_star[2 * k](w) * psi.shifted(1) + table.phi[2 * k](w) * psi_star
-        out.append(
-            _located(
-                n=2 * k,
-                index=idx,
-                numerator=complex(half_power(angle, -2 * k)) * m_poly,
+        inst = replace(sof_f1(table, idx, w, omega0), label=f"F_{idx}")
+        if idx % 2:
+            # the anchor is an exact zero of the first-kind member; dividing
+            # it out leaves the |z - w|^2-modified member of degree idx - 1,
+            # made 1-invariant again by the unimodular factor i w^{1/2}
+            quot, _ = inst.numerator.deflate(w)
+            drop = int(np.argmin(circular_distance(inst.zeros, angle)))
+            inst = replace(
+                inst,
+                n=idx - 1,
+                numerator=complex(1j * half_power(angle, 1)) * quot,
                 alpha=None,
-                w=w,
-                anchor_angle=angle,
-                omega0=float(omega0),
-                label=f"F_{idx}",
+                zeros=np.delete(inst.zeros, drop),
             )
-        )
+        out.append(inst)
     return out
 
 

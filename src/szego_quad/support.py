@@ -10,7 +10,6 @@ the support between the estimate and its 2 epsilon thickening.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +241,6 @@ def support_estimate(
     n_max: int,
     epsilon: float,
     n_min=None,
-    threads: int = 1,
 ) -> SupportEstimate:
     """Estimate the support of the measure from anchored first-kind zeros.
 
@@ -264,24 +262,15 @@ def support_estimate(
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
     orders = tuple(range(1, n_max + 1))
 
-    def one_anchor(w):
-        family = SofFamilySpec.f1(w, omega0=0.0)
-        cloud = zero_cloud(table, family, orders)
+    angles = []
+    est = None
+    for w in anchors:
+        cloud = zero_cloud(table, SofFamilySpec.f1(w, omega0=0.0), orders)
         acc = _split_form(accumulation_set(cloud, epsilon, n_min))
         if _anchor_isolated(cloud, epsilon, n_min):
             ball = _eps_union(np.array([cloud.anchor_angle]), epsilon)
             acc = _subtract(acc, ball)
-        return cloud.anchor_angle, acc
-
-    if threads > 1 and len(anchors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_anchor, anchors))
-    else:
-        results = [one_anchor(w) for w in anchors]
-
-    angles = tuple(angle for angle, _ in results)
-    est = None
-    for _, acc in results:
+        angles.append(cloud.anchor_angle)
         est = acc if est is None else _intersect(est, acc)
     arcs = tuple(_rejoin_wrap(_drop_slivers(est or [])))
     return SupportEstimate(
@@ -289,7 +278,7 @@ def support_estimate(
         epsilon=float(epsilon),
         n_min=n_min,
         n_max=n_max,
-        anchor_angles=angles,
+        anchor_angles=tuple(angles),
     )
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from szego_quad.cli import main, thread_count
+from szego_quad.cli import main
 
 TWO_ATOM = '{"variant": "atomic", "atoms": [[0.0, 0.5], [3.141592653589793, 0.5]]}'
 ARC_MEASURE = '{"variant": "arc_density", "name": "uniform", "arc": [1.5707963267948966, 4.71238898038469]}'
@@ -296,33 +296,3 @@ def test_config_invalid_json_reports_position(capsys, tmp_path):
     assert rc == 2
     doc = json.loads(err)
     assert doc["line"] == 1
-
-
-# ---------------------------------------------------------------------------
-# thread control
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("SZEGO_QUAD_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SZEGO_QUAD_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("SZEGO_QUAD_THREADS", "0")
-    assert thread_count() >= 1
-
-
-def test_thread_count_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("SZEGO_QUAD_THREADS", "many")
-    rc, _, err = run(capsys, ["support", "--n-max", "8", "--epsilon", "0.5"])
-    assert rc == 2
-    assert "SZEGO_QUAD_THREADS" in json.loads(err)["message"]
-
-
-def test_support_runs_threaded(capsys, monkeypatch):
-    monkeypatch.setenv("SZEGO_QUAD_THREADS", "2")
-    rc, out, _ = run(
-        capsys,
-        ["support", "--measure", ARC_MEASURE, "--n-max", "12", "--epsilon", "0.35"],
-    )
-    assert rc == 0
-    assert json.loads(out)["n_max"] == 12

@@ -213,6 +213,16 @@ def test_measure_integral_examples():
 
 
 
+def test_measure_integral_resolution_guard_honors_grid():
+    # same near-singular density as the moment guard: the integral must not
+    # come back silently wrong, and the declared grid must fix it
+    with pytest.raises(IntegrationResolution) as exc:
+        measure_integral(Density(name="bernstein_szego", param=0.999), np.cos)
+    assert exc.value.detail["drift"] > 1e-10
+    fine = Density(name="bernstein_szego", param=0.999, grid=16384)
+    assert abs(measure_integral(fine, np.cos) - 0.999) < 1e-12
+
+
 def test_measure_integral_unknown_density_is_config_error():
     with pytest.raises(ConfigError):
         measure_integral(Density(name="nope"), np.cos)

@@ -175,19 +175,6 @@ def test_support_estimate_two_arcs_two_anchors():
     assert not point_in_arcs(est.arcs, 5.9)
 
 
-def test_support_estimate_threads_agree():
-    two = Mixture(
-        components=(
-            (0.5, ArcDensity(name="uniform", arc=(0.5, 2.0))),
-            (0.5, ArcDensity(name="uniform", arc=(3.5, 5.0))),
-        )
-    )
-    anchors = [np.exp(2.75j), np.exp(5.9j)]
-    a = support_estimate(two, anchors, 16, 0.25)
-    b = support_estimate(two, anchors, 16, 0.25, threads=2)
-    assert a.arcs == b.arcs
-
-
 def test_support_estimate_guards():
     with pytest.raises(ValueError):
         support_estimate(Lebesgue(), [1.0], 0, 0.1)
