@@ -29,6 +29,7 @@ from .opuc import (
     SCHUR_GUARD,
     OpucTable,
     SchurSequence,
+    cmv_matrix,
     kernel_diag,
     kernel_polynomial,
 )
@@ -551,23 +552,19 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
 def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:
     """Moments c_0..c_K of the measure with the given Schur coefficients.
 
-    Inverts the extraction recurrence: c_{k+1} = -a_{k+1} e_k -
-    sum_{j<k} Phi_k[j] c_{j+1}.  Needs K <= max_order, since c_{k+1} is only
-    determined once a_{k+1} is known.
+    c_k = (C^k)[0, 0] for the unitary (K + 1) x (K + 1) CMV matrix C of
+    a_1..a_K with last Verblunsky parameter 1, the Szego rule exact on
+    |k| <= K.  Needs K <= max_order, since c_K is only determined once a_K
+    is known.
     """
     K = int(K)
     if K > schur.max_order:
         raise ValueError(f"K = {K} exceeds the {schur.max_order} available Schur coefficients")
-    c = np.zeros(K + 1, dtype=complex)
-    c[0] = 1.0
-    phi = np.array([1.0 + 0.0j])
-    e = 1.0
-    for k in range(K):
-        a = schur.a(k + 1)
-        c[k + 1] = -a * e - np.dot(phi[:-1], c[1 : k + 1])
-        star = np.conj(phi)[::-1]
-        phi = np.concatenate(([0.0], phi)) + a * np.append(star, 0.0)
-        e *= 1.0 - abs(a) ** 2
+    C = cmv_matrix(schur, K + 1, -1.0)
+    v = np.eye(K + 1, dtype=complex)[0]
+    c = np.empty(K + 1, dtype=complex)
+    for k in range(K + 1):
+        c[k], v = v[0], C @ v
     return MomentTable(c)
 
 

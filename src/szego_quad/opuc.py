@@ -1,4 +1,4 @@
-"""Monic orthogonal polynomials on the unit circle via the Szego recurrence.
+"""Orthogonal polynomials on the unit circle via the Szego recurrence.
 
 The whole package is driven by the recurrence
 
@@ -8,7 +8,8 @@ where a_n = Phi_n(0) are the Schur parameters (all strictly inside the unit
 disk) and the star denotes the conjugate-reversed polynomial of declared
 degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
 the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
-conj(Phi_k(y)) / e_k.
+conj(Phi_k(y)) / e_k.  Values and kernel diagonals come from the normalized
+recurrence (szego_values), zeros and moments from the CMV matrix (cmv_matrix).
 """
 
 from __future__ import annotations
@@ -127,8 +128,40 @@ def _check_on_circle(z):
         raise OffCircle(f"point off the unit circle by {worst:.3e}", deviation=worst)
 
 
+def szego_values(schur: SchurSequence, n: int, z):
+    """phi_n(z) = Phi_n(z) / sqrt(e_n) and K_n(z, z) = sum_{k<=n} |phi_k(z)|^2, shaped like z,
+    by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} with rho = sqrt(1 - |a|^2)."""
+    z = np.asarray(z, dtype=complex)
+    p = s = np.ones(z.shape, dtype=complex)
+    acc = np.ones(z.shape, dtype=float)
+    for a in schur.coefficients[:n]:
+        rho = np.sqrt(1.0 - abs(a) ** 2)
+        zp = z * p
+        p, s = (zp + a * s) / rho, (s + np.conj(a) * zp) / rho
+        acc += np.abs(p) ** 2
+    return p, acc
+
+
+def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
+    """Unitary CMV matrix C = L M with det(z - C) = z Phi_{n-1} + lam Phi_{n-1}*, |lam| = 1.
+
+    Simon's convention (Cantero-Moral-Velazquez, LAA 362, 2003) for the parameters
+    g = -conj(a_1), ..., -conj(a_{n-1}), -conj(lam): blocks [[conj(g), rho], [rho, -g]],
+    even ones in L, odd ones in M after its leading 1, the last one as conj(g) alone."""
+    g = np.append(-np.conj(schur.coefficients[: n - 1]), -np.conj(complex(lam)))
+    rho = np.sqrt(1.0 - np.abs(g[:-1]) ** 2)
+    L, M = np.zeros((2, n, n), dtype=complex)
+    M[0, 0] = 1.0
+    for blk, js in ((L, np.arange(0, n - 1, 2)), (M, np.arange(1, n - 1, 2))):
+        blk[js, js] = np.conj(g[js])
+        blk[js, js + 1] = blk[js + 1, js] = rho[js]
+        blk[js + 1, js + 1] = -g[js]
+    (L if (n - 1) % 2 == 0 else M)[n - 1, n - 1] = np.conj(g[-1])
+    return L @ M
+
+
 def kernel_diag(table: OpucTable, n: int, z):
-    """K_n(z, z) for z on the unit circle, by the defining sum.
+    """K_n(z, z) for z on the unit circle, by the normalized recurrence.
 
     Always >= 1 since the degree-zero term contributes 1.  Accepts scalar or
     array z and returns matching shape.
@@ -137,9 +170,7 @@ def kernel_diag(table: OpucTable, n: int, z):
         raise ValueError(f"kernel degree {n} exceeds table order {table.order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
-    acc = np.zeros(zs.shape, dtype=float)
-    for k in range(n + 1):
-        acc += np.abs(table.phi[k](zs)) ** 2 / table.e[k]
+    acc = szego_values(table.schur, n, zs)[1]
     return float(acc) if zs.ndim == 0 else acc
 
 

@@ -4,7 +4,9 @@ A polynomial P = alpha Phi_n + beta Phi_n* with |alpha| = |beta| != 0 is
 invariant: P* = kappa P for the unimodular kappa = conj(beta)/alpha.  Its n
 zeros are simple and lie on the unit circle, and the n-point rule with nodes
 at those zeros and weights 1/K_{n-1}(z_k, z_k) integrates every Laurent
-polynomial of degree window [-(n-1), n-1] exactly.
+polynomial of degree window [-(n-1), n-1] exactly.  The zeros are the
+eigenvalues of a unitary CMV matrix (invariant_zeros, Golub-Welsch on the
+circle), the weights kernel sums of the normalized recurrence.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .circle import TWO_PI, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch
 from .measures import MomentTable, measure_integral
-from .opuc import OpucTable, kernel_diag
+from .opuc import OpucTable, SchurSequence, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
 ANGLE_TOL = 2e-14
@@ -34,6 +36,7 @@ class InvariantPop:
     alpha: complex
     beta: complex
     kappa: complex
+    schur: SchurSequence
 
 
 def make_pop(table: OpucTable, n: int, alpha, beta) -> InvariantPop:
@@ -58,7 +61,7 @@ def make_pop(table: OpucTable, n: int, alpha, beta) -> InvariantPop:
     resid = poly.conj_reverse(n) - kappa * poly
     if float(np.max(np.abs(resid.coeffs))) > 1e-10 * max(1.0, float(np.max(np.abs(poly.coeffs)))):
         raise ModulusMismatch("invariance residual too large for the given pair")
-    return InvariantPop(poly=poly, order=n, alpha=alpha, beta=beta, kappa=kappa)
+    return InvariantPop(poly=poly, order=n, alpha=alpha, beta=beta, kappa=kappa, schur=table.schur)
 
 
 def _bisect(fn, lo, hi, flo, tol):
@@ -80,20 +83,20 @@ def _bisect(fn, lo, hi, flo, tol):
 
 
 def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
-    """Locate the zeros of a real-valued circle function in [omega0, omega0 + 2 pi).
+    """Roots of a real-valued 2 pi-periodic function of the angle in [omega0, omega0 + 2 pi).
 
-    value_fn must accept an ndarray of angles and return real values, and must
-    remain valid slightly past the window (the wrap-around interval is
-    bracketed by direct evaluation at omega0 + 2 pi offsets).  Exactly `count`
-    simple zeros are expected; the midpoint-offset scan grid is doubled until
-    all of them are isolated by sign changes, and ZeroCountMismatch is raised
-    if 1024 * count samples still disagree.
+    A general root finder by sign scan and bisection; no library path uses
+    it (invariant members go through invariant_zeros).  value_fn must accept
+    an ndarray of angles and return real values, and must remain valid
+    slightly past the window (the wrap-around interval is bracketed by direct
+    evaluation at omega0 + 2 pi offsets).  Exactly `count` simple roots are
+    expected; the scan grid of 16 * count midpoints is doubled until all of
+    them are isolated by sign changes, and ZeroCountMismatch is raised if
+    1024 * count samples still disagree.
 
-    Returned angles are sorted, bisected to an angular tolerance of 2e-14
-    (sign products and kernel weights downstream amplify zero error by the
-    numerator's derivative, so the solve must land well under 1e-12), and a
-    root within 1e-9 of the upper window edge is folded onto omega0 (the two
-    describe the same circle point).
+    Returned angles are sorted and bisected to the angular tolerance
+    angle_tol; a root within 1e-9 of the upper window edge is folded onto
+    omega0 (the two describe the same circle point).
     """
     count = int(count)
     if count == 0:
@@ -131,22 +134,23 @@ def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
         m *= 2
 
 
+def invariant_zeros(schur: SchurSequence, n: int, t, omega0=0.0) -> np.ndarray:
+    """Sorted angles in [omega0, omega0 + 2 pi) of the n zeros of Phi_n + t Phi_n*, |t| = 1.
+
+    Phi_n + t Phi_n* = (1 + conj(a_n) t) (z Phi_{n-1} + lam Phi_{n-1}*), so they are the
+    eigenvalues of cmv_matrix(schur, n, lam), lam = (a_n + t) / (1 + conj(a_n) t).  A
+    root within 1e-9 of the upper window edge is folded onto omega0."""
+    if n == 0:
+        return np.empty(0, dtype=float)
+    a_n = schur.coefficients[n - 1]
+    lam = (a_n + t) / (1.0 + np.conj(a_n) * t)
+    roots = fold_angle(np.angle(np.linalg.eigvals(cmv_matrix(schur, n, lam))), omega0)
+    return np.sort(np.where((omega0 + TWO_PI) - roots < _BASE_SNAP, omega0, roots))
+
+
 def pop_zeros(pop: InvariantPop, omega0=0.0) -> np.ndarray:
-    """Angles of the n simple circle zeros of an invariant polynomial.
-
-    Multiplying P(e^{i theta}) by e^{-i(n theta / 2 + phase0)} with phase0 =
-    -arg(kappa)/2 produces a real-valued function of theta with the same
-    zeros, which is then tracked by sign changes and bisection.
-    """
-    n = pop.order
-    phase0 = -0.5 * float(np.angle(pop.kappa))
-    poly = pop.poly
-
-    def real_form(theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.real(np.exp(-1j * (0.5 * n * theta + phase0)) * poly.at_angle(theta))
-
-    return circle_zero_angles(real_form, n, omega0)
+    """Angles of the n simple circle zeros of an invariant polynomial (t = beta / alpha)."""
+    return invariant_zeros(pop.schur, pop.order, pop.beta / pop.alpha, omega0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +209,9 @@ def _kernel_rule(table: OpucTable, m: MomentTable, angles, order, omega0, source
 def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -> QuadratureRule:
     """Szego rule on the zeros of an invariant polynomial, kernel weights.
 
-    Weights are H_k = 1 / K_{n-1}(z_k, z_k), evaluated by the definitional
-    kernel sum; the measured exactness defect over the Laurent window
-    |k| <= n - 1 is stamped on the rule for inspection.
+    Weights are H_k = 1 / K_{n-1}(z_k, z_k), the kernel sum of the
+    normalized recurrence; the measured exactness defect over the Laurent
+    window |k| <= n - 1 is stamped on the rule for inspection.
     """
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
     return _kernel_rule(table, m, pop_zeros(pop, omega0), pop.order, omega0, src)

@@ -16,7 +16,8 @@ and the general member uses alpha_n = w^{-m/2} (A(w) Phi_n(w) + B(w)
 Omega_n(w)) with m = n + k for polynomial coefficients A, B satisfying the
 reversal symmetries A*(k) = A and B*(k) = -B.  Half powers are always
 realized as exp(i m theta / 2) on angles folded into the working window, so
-both sides of every identity use the same branch.
+both sides of every identity use the same branch.  Phi_n(w) comes from the
+normalized recurrence, the zeros are CMV eigenvalues (invariant_zeros).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
 from .errors import DegenerateAnchor, OffCircle, PhaseLeak, ZeroCoefficient
-from .opuc import CIRCLE_TOL, OpucTable, second_kind
+from .opuc import CIRCLE_TOL, OpucTable, second_kind, szego_values
 from .poly import ComplexPolynomial
-from .quadrature import circle_zero_angles
+from .quadrature import invariant_zeros
 
 _ANCHOR_TOL = 1e-9
 
@@ -149,14 +150,8 @@ class SofInstance:
         return -1j * np.conj(self.alpha), 1j * self.alpha
 
 
-def _located(**fields) -> SofInstance:
-    """Member with the given fields and its n circle zeros in its window."""
-    inst = SofInstance(zeros=None, **fields)
-    return replace(inst, zeros=circle_zero_angles(inst.value, inst.n, inst.omega0))
-
-
 def _instance_from_alpha(table, n, alpha, w, anchor_angle, omega0, label):
-    return _located(
+    return SofInstance(
         n=n,
         index=n,
         numerator=(-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n],
@@ -164,18 +159,15 @@ def _instance_from_alpha(table, n, alpha, w, anchor_angle, omega0, label):
         w=w,
         anchor_angle=anchor_angle,
         omega0=float(omega0),
+        zeros=invariant_zeros(table.schur, n, -alpha / np.conj(alpha), omega0),
         label=label,
     )
 
 
-def _pin_anchor(inst: SofInstance) -> SofInstance:
-    """Snap a computed zero within 1e-9 of the anchor onto the anchor, for
-    members that have the anchor as an exact zero."""
+def _anchor_zero(inst: SofInstance) -> SofInstance:
+    """For members with the anchor as an exact zero: the zero nearest it is set to it."""
     zeros = np.array(inst.zeros)
-    near = circular_distance(zeros, inst.anchor_angle) <= _ANCHOR_TOL
-    if not np.any(near):
-        return inst
-    zeros[near] = fold_angle(inst.anchor_angle, inst.omega0)
+    zeros[np.argmin(circular_distance(zeros, inst.anchor_angle))] = inst.anchor_angle
     return replace(inst, zeros=np.sort(zeros))
 
 
@@ -185,12 +177,8 @@ def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
     if not 1 <= n <= table.order:
         raise ValueError(f"degree {n} outside 1..{table.order}")
     w, angle = _canonical_anchor(w, omega0)
-    phi_w = table.phi[n](w)
-    if abs(phi_w) < 1e-13 * max(1.0, float(np.max(np.abs(table.phi[n].coeffs)))):
-        # cannot happen for Schur parameters inside the disk; guards bad tables
-        raise DegenerateAnchor(f"Phi_{n} vanishes at the anchor", n=n, anchor=angle)
-    alpha = half_power(angle, -n) * phi_w
-    return _pin_anchor(_instance_from_alpha(table, n, alpha, w, angle, omega0, f"f1(n={n})"))
+    alpha = half_power(angle, -n) * np.sqrt(table.e[n]) * szego_values(table.schur, n, w)[0]
+    return _anchor_zero(_instance_from_alpha(table, n, alpha, w, angle, omega0, f"f1(n={n})"))
 
 
 def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
@@ -225,7 +213,7 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
     if spec.mode == "f2":
         return sof_f2(table, omegas, n, spec.w, spec.omega0)
     w, angle = _canonical_anchor(spec.w, spec.omega0)
-    phi_w = table.phi[n](w)
+    phi_w = complex(np.sqrt(table.e[n]) * szego_values(table.schur, n, w)[0])
     omega_w = omegas[n](w)
     if spec.mode == "combo":
         value = spec.a1 * phi_w + (-1j * spec.a2) * omega_w
@@ -247,7 +235,7 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
     inst = _instance_from_alpha(table, n, alpha, w, angle, spec.omega0, label)
     # without a second-kind part the anchor is an exact zero
     anchored = spec.a2 == 0 if spec.mode == "combo" else spec.B(w) == 0
-    return _pin_anchor(inst) if anchored else inst
+    return _anchor_zero(inst) if anchored else inst
 
 
 def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:

@@ -1,5 +1,6 @@
 """Invariant para-orthogonal combinations, circle zeros, Szego rules."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from szego_quad import (
     ZeroCountMismatch,
     build_opuc,
     circle_zero_angles,
+    circular_distance,
     discrete_measure,
     kernel_diag,
     make_pop,
@@ -252,6 +254,78 @@ def test_discrete_measure_round_trip():
     assert dm.order == 2
     back = moments(Atomic(atoms=dm.atoms), 1)
     assert abs(back.get(1) - m.get(1)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# a cap-0.9 sequence at n = 256, against mpmath references
+
+
+def cap09_schur():
+    """|a_k| uniform on [0, 0.9), phases uniform: the draw of stream 1 of the
+    benchmark's fixed rules (magnitudes first, then phases)."""
+    rng = np.random.default_rng([1, 99])
+    mags = 0.9 * rng.random(256)
+    return SchurSequence(mags * np.exp(2j * np.pi * rng.random(256)))
+
+
+def mp_newton_angles(coeffs, angles):
+    """One 30-digit Newton step on Phi_n + Phi_n* from every angle, with the
+    value and derivative taken by the monic Szego recurrence in mpmath."""
+    out = []
+    with mpmath.workdps(30):
+        a = [(mpmath.mpc(complex(x)), mpmath.mpc(complex(x).conjugate())) for x in coeffs]
+        for theta in angles:
+            z = mpmath.expj(mpmath.mpf(float(theta)))
+            p = s = mpmath.mpc(1)
+            dp = ds = mpmath.mpc(0)
+            for ak, ck in a:
+                zp = z * p
+                dzp = p + z * dp
+                p, s = zp + ak * s, s + ck * zp
+                dp, ds = dzp + ak * ds, ds + ck * dzp
+            out.append(float(mpmath.arg(z - (p + s) / (dp + ds))))
+    return np.array(out)
+
+
+def mp_levinson_moments(coeffs):
+    """c_0..c_K by the inverse Levinson recurrence c_{k+1} = -a_{k+1} e_k -
+    sum_{j<k} Phi_k[j] c_{j+1} in mpmath, with 30 digits beyond the growth
+    prod(1 + |a_k|) of the monic coefficients it cancels."""
+    growth = int(np.sum(np.log10(1.0 + np.abs(coeffs))))
+    with mpmath.workdps(30 + growth):
+        c = [mpmath.mpc(1)]
+        phi = [mpmath.mpc(1)]
+        e = mpmath.mpf(1)
+        for k, x in enumerate(coeffs):
+            a = mpmath.mpc(complex(x))
+            c.append(-a * e - mpmath.fsum(phi[j] * c[j + 1] for j in range(k)))
+            star = [mpmath.conj(v) for v in reversed(phi)]
+            phi = [mpmath.mpc(0)] + phi
+            for j, v in enumerate(star):
+                phi[j] += a * v
+            e *= 1 - abs(a) ** 2
+        return np.array([complex(v) for v in c])
+
+
+def test_cap09_n256_rule_nodes_match_mpmath_roots():
+    # the sign scan isolated 254 of the 256 zeros here (ZeroCountMismatch)
+    schur = cap09_schur()
+    table = build_opuc(schur, 256)
+    rule = make_rule(table, moments_from_schur(schur, 256), make_pop(table, 256, 1.0, 1.0))
+    angles = rule.node_angles
+    assert len(angles) == 256
+    assert np.min(np.diff(angles)) > 0.0
+    polished = mp_newton_angles(schur.coefficients, angles)
+    assert np.max(circular_distance(angles, polished)) < 1e-12
+
+
+def test_cap09_moments_match_mpmath_levinson():
+    # the double-precision inverse recurrence on monic coefficients was
+    # 8.6e-7 off here
+    schur = cap09_schur()
+    got = moments_from_schur(schur, 255).c
+    want = mp_levinson_moments(schur.coefficients[:255])
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from szego_quad import (
+    ArcDensity,
+    Atomic,
     ComplexPolynomial,
-    DegenerateAnchor,
+    Mixture,
     PhaseLeak,
     SchurSequence,
     SofFamilySpec,
@@ -19,6 +21,7 @@ from szego_quad import (
     interlace_check,
     kernel_diag,
     moments_from_schur,
+    schur_from_measure,
     second_kind,
     sof_combo,
     sof_f1,
@@ -87,14 +90,26 @@ def test_f1_realization_is_real(rng):
     assert np.max(np.abs(vals)) < 1e-9
 
 
-def test_f1_degenerate_anchor_guard():
-    table = lebesgue_table(3)
-    bad_phi = list(table.phi)
-    bad_phi[2] = ComplexPolynomial([-1.0, 0.0, 1.0])
-    tampered = replace(table, phi=tuple(bad_phi))
-    with pytest.raises(DegenerateAnchor) as exc:
-        sof_f1(tampered, 2, 1.0)
-    assert exc.value.detail["n"] == 2
+def test_f1_two_arc_anchor_is_a_zero():
+    # |Phi_48(w)| = 7.1e-7 equals 1e-13 max|coeff| here, which the old
+    # coefficient-scaled guard read as a vanishing anchor value
+    spec = Mixture(
+        ((1.0, ArcDensity("uniform", (0.5, 1.5))), (1.0, ArcDensity("uniform", (3.0, 4.5))))
+    )
+    table = build_opuc(schur_from_measure(spec, 48), 48)
+    inst = sof_f1(table, 48, np.exp(1j * 0.9705075950563139))
+    assert len(inst.zeros) == 48
+    assert np.min(np.diff(inst.zeros)) > 0.0
+    assert inst.anchor_angle in inst.zeros
+    assert abs(inst.anchor_angle - 0.9705075950563139) < 1e-15
+
+
+def test_f1_arc_plus_atom_anchor_is_a_zero():
+    # the anchor zero came out 4.7e-9 from the anchor, outside a fixed 1e-9
+    # pinning window
+    spec = Mixture(((1.0, ArcDensity("uniform", (0.5, 2.0))), (1.0, Atomic(((4.0, 1.0),)))))
+    table = build_opuc(schur_from_measure(spec, 15), 15)
+    assert 0.9 in sof_f1(table, 15, np.exp(0.9j)).zeros
 
 
 def test_f2_square_roots_and_anchor_value():
