@@ -22,7 +22,7 @@ from .measures import (
     parse_measure,
     schur_from_measure,
 )
-from .opuc import build_opuc, second_kind
+from .opuc import build_opuc
 from .quadrature import rule_from_sof
 from .sof import SofFamilySpec, f_sequence, interlace_check, sof_combo
 from .support import support_estimate
@@ -221,8 +221,7 @@ def _run_zeros(measure, params):
     n_max = _require_int(params, "n_max")
     table = _pipeline(measure, n_max)
     family = _family(params)
-    omegas = second_kind(table.schur, n_max)
-    entries = [(n, sof_combo(table, family, n, omegas).zeros) for n in range(1, n_max + 1)]
+    entries = [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
     if params.get("format", "csv") == "json":
         return serialize.zero_rows_json(entries)
     return serialize.zero_rows_csv(entries)
@@ -236,8 +235,7 @@ def _run_interlace(measure, params):
     table = _pipeline(measure, n_max)
     family = _family(params)
     anchored = float(params.get("a2", 0.0)) == 0.0
-    omegas = second_kind(table.schur, n_max)
-    insts = {n: sof_combo(table, family, n, omegas) for n in range(n_lo, n_max + 1)}
+    insts = {n: sof_combo(table, family, n) for n in range(n_lo, n_max + 1)}
     results = []
     for n in range(n_lo, n_max):
         res = interlace_check(

@@ -55,6 +55,7 @@ class ZeroCountMismatch(SzegoQuadError):
 
 
 class DegenerateAnchor(SzegoQuadError):
+    # never raised (Phi_n, Omega_n have no zeros on the circle); the code stays published
     code = "DegenerateAnchor"
 
 

@@ -8,8 +8,9 @@ where a_n = Phi_n(0) are the Schur parameters (all strictly inside the unit
 disk) and the star denotes the conjugate-reversed polynomial of declared
 degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
 the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
-conj(Phi_k(y)) / e_k.  Values and kernel diagonals come from the normalized
-recurrence (szego_values), zeros and moments from the CMV matrix (cmv_matrix).
+conj(Phi_k(y)) / e_k.  Values, kernel diagonals and off-diagonal kernel values
+come from the normalized recurrence (szego_values), zeros and moments from the
+CMV matrix (cmv_matrix).  The monic table serves output and numerator probes.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def second_kind(schur: SchurSequence, n_max: int) -> list[ComplexPolynomial]:
 
         Omega_n*(z) Phi_n(z) + Omega_n(z) Phi_n*(z) = 2 e_n z^n,
 
-    which downstream code (second-kind semi-orthogonal functions, sign
-    probes) relies on.
+    which the second-kind semi-orthogonal functions rely on.  This monic
+    table is for output and test oracles; sof takes Omega_n(w) from
+    szego_values on the same sign-flipped sequence.
     """
     return list(build_opuc(SchurSequence(-schur.coefficients[:n_max]), n_max).phi)
 
@@ -129,8 +131,9 @@ def _check_on_circle(z):
 
 
 def szego_values(schur: SchurSequence, n: int, z):
-    """phi_n(z) = Phi_n(z) / sqrt(e_n) and K_n(z, z) = sum_{k<=n} |phi_k(z)|^2, shaped like z,
-    by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} with rho = sqrt(1 - |a|^2)."""
+    """phi_n(z) = Phi_n(z) / sqrt(e_n), phi_n*(z) and sum_{k<=n} |phi_k(z)|^2 (K_n(z, z) on
+    the circle), shaped like z, by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} and
+    phi_{k+1}* = (phi_k* + conj(a_{k+1}) z phi_k) / rho_{k+1}, rho = sqrt(1 - |a|^2)."""
     z = np.asarray(z, dtype=complex)
     p = s = np.ones(z.shape, dtype=complex)
     acc = np.ones(z.shape, dtype=float)
@@ -139,7 +142,7 @@ def szego_values(schur: SchurSequence, n: int, z):
         zp = z * p
         p, s = (zp + a * s) / rho, (s + np.conj(a) * zp) / rho
         acc += np.abs(p) ** 2
-    return p, acc
+    return p, s, acc
 
 
 def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
@@ -170,17 +173,16 @@ def kernel_diag(table: OpucTable, n: int, z):
         raise ValueError(f"kernel degree {n} exceeds table order {table.order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
-    acc = szego_values(table.schur, n, zs)[1]
+    acc = szego_values(table.schur, n, zs)[2]
     return float(acc) if zs.ndim == 0 else acc
 
 
 def kernel_eval(table: OpucTable, n: int, z, y):
-    """K_n(z, y) through the Christoffel-Darboux formula.
+    """K_n(z, y) = (q(z) conj(q(y)) - p(z) conj(p(y))) / (1 - conj(y) z), p = phi_{n+1}, q = p*.
 
-    Requires the table to hold degree n+1 and the pair to be safely off the
-    diagonal: |1 - conj(y) z| must exceed 1e-8, otherwise the cancellation in
-    the quotient loses too much accuracy and NearDiagonal is raised.  The
-    diagonal itself has the dedicated kernel_diag path.
+    Christoffel-Darboux on normalized recurrence values (szego_values), valid
+    off the circle too.  The table must reach degree n+1, and |1 - conj(y) z|
+    <= 1e-8 raises NearDiagonal (the quotient cancels; kernel_diag serves z = y).
     """
     if n + 1 > table.order:
         raise ValueError(f"kernel degree {n} needs table order {n + 1}")
@@ -192,10 +194,9 @@ def kernel_eval(table: OpucTable, n: int, z, y):
             f"|1 - conj(y) z| = {abs(denom):.3e} is inside the guarded band",
             separation=abs(denom),
         )
-    p = table.phi[n + 1]
-    q = table.phi_star[n + 1]
-    num = q(z) * np.conj(q(y)) - p(z) * np.conj(p(y))
-    return complex(num / (table.e[n + 1] * denom))
+    p, q, _ = szego_values(table.schur, n + 1, np.array([z, y]))
+    num = q[0] * np.conj(q[1]) - p[0] * np.conj(p[1])
+    return complex(num / denom)
 
 
 def kernel_polynomial(table: OpucTable, n: int, y) -> ComplexPolynomial:

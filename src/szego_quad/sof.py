@@ -16,8 +16,12 @@ and the general member uses alpha_n = w^{-m/2} (A(w) Phi_n(w) + B(w)
 Omega_n(w)) with m = n + k for polynomial coefficients A, B satisfying the
 reversal symmetries A*(k) = A and B*(k) = -B.  Half powers are always
 realized as exp(i m theta / 2) on angles folded into the working window, so
-both sides of every identity use the same branch.  Phi_n(w) comes from the
-normalized recurrence, the zeros are CMV eigenvalues (invariant_zeros).
+both sides of every identity use the same branch.  Every member goes through
+the one coefficient formula in sof_combo: Phi_n(w) and Omega_n(w) both come
+from the normalized recurrence (Omega_n is Phi_n of the sign-flipped Schur
+sequence), not from a monic table, and the zeros are CMV eigenvalues
+(invariant_zeros).  The omegas arguments of sof_f2, sof_combo and zero_cloud
+are accepted and not read.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
-from .errors import DegenerateAnchor, OffCircle, PhaseLeak, ZeroCoefficient
-from .opuc import CIRCLE_TOL, OpucTable, second_kind, szego_values
+from .errors import OffCircle, PhaseLeak, ZeroCoefficient
+from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, szego_values
 from .poly import ComplexPolynomial
 from .quadrature import invariant_zeros
 
@@ -150,92 +154,75 @@ class SofInstance:
         return -1j * np.conj(self.alpha), 1j * self.alpha
 
 
-def _instance_from_alpha(table, n, alpha, w, anchor_angle, omega0, label):
+def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
+    """First-kind member of degree n; the anchor w is always among its zeros."""
+    return sof_combo(table, SofFamilySpec.f1(w, omega0), n)
+
+
+def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
+    """Second-kind member of degree n; takes the value 2 e_n at the anchor.
+
+    omegas is accepted and not read: Omega_n(w) comes from the recurrence.
+    """
+    return sof_combo(table, SofFamilySpec.f2(w, omega0), n)
+
+
+def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
+    """Member of the declared family at degree n; the one path for every mode.
+
+    alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with (A, B) = (1, 0) for
+    f1, (0, -i) for f2, (a1, -i a2) for combo (a1 * first kind + a2 * second
+    kind) and (A(w), B(w)) with m = n + k for polyseq; m = n otherwise.
+    Phi_n(w) and Omega_n(w) are sqrt(e_n) times the normalized recurrence on
+    a and on -a, each formed only when its coefficient is nonzero.  The
+    anchor is an exact zero if and only if B = 0.  ZeroCoefficient is raised
+    when alpha_n vanishes relative to its terms.  omegas is not read.
+    """
+    n = int(n)
+    if not 1 <= n <= table.order:
+        raise ValueError(f"degree {n} outside 1..{table.order}")
+    w, angle = _canonical_anchor(spec.w, spec.omega0)
+    if spec.mode == "f1":
+        A, B, m, label = 1.0, 0.0, n, f"f1(n={n})"
+    elif spec.mode == "f2":
+        A, B, m, label = 0.0, -1j, n, f"f2(n={n})"
+    elif spec.mode == "combo":
+        A, B, m = spec.a1, -1j * spec.a2, n
+        label = f"combo(a1={spec.a1:g}, a2={spec.a2:g}, n={n})"
+    elif spec.mode == "polyseq":
+        A, B, m = spec.A(w), spec.B(w), n + spec.k
+        label = f"polyseq(k={spec.k}, n={n})"
+    else:
+        raise ValueError(f"unknown family mode '{spec.mode}'")
+    root_e = np.sqrt(table.e[n])
+    terms = []
+    if A != 0:
+        terms.append(A * complex(root_e * szego_values(table.schur, n, w)[0]))
+    if B != 0:
+        # Omega_n is Phi_n of the sign-flipped sequence, with the same e_n
+        flipped = SchurSequence(-table.schur.coefficients[:n])
+        terms.append(B * complex(root_e * szego_values(flipped, n, w)[0]))
+    value = sum(terms)
+    if abs(value) <= 1e-12 * max(sum(abs(t) for t in terms), 1e-300):
+        raise ZeroCoefficient(
+            f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
+        )
+    alpha = half_power(angle, -m) * value
+    zeros = invariant_zeros(table.schur, n, -alpha / np.conj(alpha), spec.omega0)
+    if B == 0:
+        zeros[np.argmin(circular_distance(zeros, angle))] = angle
+        zeros.sort()
     return SofInstance(
         n=n,
         index=n,
         numerator=(-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n],
         alpha=complex(alpha),
         w=w,
-        anchor_angle=anchor_angle,
-        omega0=float(omega0),
-        zeros=invariant_zeros(table.schur, n, -alpha / np.conj(alpha), omega0),
+        anchor_angle=angle,
+        omega0=float(spec.omega0),
+        zeros=zeros,
         label=label,
     )
-
-
-def _anchor_zero(inst: SofInstance) -> SofInstance:
-    """For members with the anchor as an exact zero: the zero nearest it is set to it."""
-    zeros = np.array(inst.zeros)
-    zeros[np.argmin(circular_distance(zeros, inst.anchor_angle))] = inst.anchor_angle
-    return replace(inst, zeros=np.sort(zeros))
-
-
-def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
-    """First-kind member of degree n; the anchor w is always among its zeros."""
-    n = int(n)
-    if not 1 <= n <= table.order:
-        raise ValueError(f"degree {n} outside 1..{table.order}")
-    w, angle = _canonical_anchor(w, omega0)
-    alpha = half_power(angle, -n) * np.sqrt(table.e[n]) * szego_values(table.schur, n, w)[0]
-    return _anchor_zero(_instance_from_alpha(table, n, alpha, w, angle, omega0, f"f1(n={n})"))
-
-
-def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
-    """Second-kind member of degree n; takes the value 2 e_n at the anchor."""
-    n = int(n)
-    if not 1 <= n <= table.order:
-        raise ValueError(f"degree {n} outside 1..{table.order}")
-    if len(omegas) <= n:
-        raise ValueError("second-kind table too short")
-    w, angle = _canonical_anchor(w, omega0)
-    omega_w = omegas[n](w)
-    if abs(omega_w) < 1e-13:
-        raise DegenerateAnchor(f"Omega_{n} vanishes at the anchor", n=n, anchor=angle)
-    alpha = -1j * half_power(angle, -n) * omega_w
-    return _instance_from_alpha(table, n, alpha, w, angle, omega0, f"f2(n={n})")
-
-
-def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
-    """Member of the declared family at degree n.
-
-    combo means a1 * (first kind) + a2 * (second kind) with real constants;
-    polyseq uses the polynomial coefficients A, B with m = n + k.  The
-    coefficient alpha_n must not vanish, otherwise the member degenerates.
-    """
-    n = int(n)
-    if not 1 <= n <= table.order:
-        raise ValueError(f"degree {n} outside 1..{table.order}")
-    if spec.mode == "f1":
-        return sof_f1(table, n, spec.w, spec.omega0)
-    if omegas is None:
-        omegas = second_kind(table.schur, n)
-    if spec.mode == "f2":
-        return sof_f2(table, omegas, n, spec.w, spec.omega0)
-    w, angle = _canonical_anchor(spec.w, spec.omega0)
-    phi_w = complex(np.sqrt(table.e[n]) * szego_values(table.schur, n, w)[0])
-    omega_w = omegas[n](w)
-    if spec.mode == "combo":
-        value = spec.a1 * phi_w + (-1j * spec.a2) * omega_w
-        scale = abs(spec.a1 * phi_w) + abs(spec.a2 * omega_w)
-        m = n
-        label = f"combo(a1={spec.a1:g}, a2={spec.a2:g}, n={n})"
-    elif spec.mode == "polyseq":
-        value = spec.A(w) * phi_w + spec.B(w) * omega_w
-        scale = abs(spec.A(w) * phi_w) + abs(spec.B(w) * omega_w)
-        m = n + spec.k
-        label = f"polyseq(k={spec.k}, n={n})"
-    else:
-        raise ValueError(f"unknown family mode '{spec.mode}'")
-    if abs(value) <= 1e-12 * max(scale, 1e-300):
-        raise ZeroCoefficient(
-            f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
-        )
-    alpha = half_power(angle, -m) * value
-    inst = _instance_from_alpha(table, n, alpha, w, angle, spec.omega0, label)
-    # without a second-kind part the anchor is an exact zero
-    anchored = spec.a2 == 0 if spec.mode == "combo" else spec.B(w) == 0
-    return _anchor_zero(inst) if anchored else inst
 
 
 def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:

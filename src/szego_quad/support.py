@@ -16,7 +16,7 @@ import numpy as np
 
 from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .measures import MeasureSpec, schur_from_measure
-from .opuc import OpucTable, build_opuc, second_kind
+from .opuc import OpucTable, build_opuc
 from .quadrature import QuadratureRule
 from .sof import SofFamilySpec, sof_combo
 
@@ -142,15 +142,15 @@ def zero_cloud(
     The eventually-common set holds the points that recur (within eps_match)
     in every computed degree; with finitely many degrees this is the honest
     finite-order proxy for the set of zeros shared by all high degrees.
+    omegas is accepted and not read: sof_combo takes Omega_n(w) from the
+    recurrence.
     """
     orders = tuple(int(n) for n in orders)
     if not orders:
         raise ValueError("need at least one degree")
     if max(orders) > table.order:
         raise ValueError(f"degree {max(orders)} exceeds table order {table.order}")
-    if omegas is None and family.mode in ("f2", "combo", "polyseq"):
-        omegas = second_kind(table.schur, max(orders))
-    sets = tuple(sof_combo(table, family, n, omegas).zeros for n in orders)
+    sets = tuple(sof_combo(table, family, n).zeros for n in orders)
     candidates = sets[-1]
     common = []
     for theta in candidates:

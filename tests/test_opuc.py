@@ -1,5 +1,6 @@
 """Szego recurrence, second kind polynomials, kernels."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -173,6 +174,30 @@ def test_kernel_eval_matches_sum(rng):
         direct = sum(t.phi[k](z) * np.conj(t.phi[k](y)) / t.e[k] for k in range(8))
         cd = kernel_eval(t, 7, z, y)
         assert abs(cd - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_kernel_eval_geronimus_matches_mpmath_sum():
+    # Christoffel-Darboux on Horner values of the monic table was off by up to
+    # 4e17 times the kernel scale here: the monic values at z cancel to 1e-15
+    schur = SchurSequence(np.full(41, 0.9))
+    t = build_opuc(schur, 41)
+    rng = np.random.default_rng(7)
+    for a, b in 2 * np.pi * rng.random((20, 2)):
+        z, y = np.exp(1j * a), np.exp(1j * b)
+        with mpmath.workdps(60):
+            zs, ys = mpmath.expj(mpmath.mpf(a)), mpmath.expj(mpmath.mpf(b))
+            pz = py = sz = sy = mpmath.mpc(1)
+            e = mpmath.mpf(1)
+            want = mpmath.mpc(1)
+            for x in schur.coefficients[:40]:
+                x = mpmath.mpc(complex(x))
+                pz, sz = zs * pz + x * sz, sz + mpmath.conj(x) * zs * pz
+                py, sy = ys * py + x * sy, sy + mpmath.conj(x) * ys * py
+                e *= 1 - abs(x) ** 2
+                want += pz * mpmath.conj(py) / e
+            want = complex(want)
+        scale = np.sqrt(kernel_diag(t, 40, z) * kernel_diag(t, 40, y))
+        assert abs(kernel_eval(t, 40, z, y) - want) / scale < 1e-12
 
 
 def test_kernel_eval_near_diagonal():

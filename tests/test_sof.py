@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,9 @@ from szego_quad import (
     sof_f2,
     sturm_sign_probe,
 )
+from szego_quad.circle import circular_distance
 from szego_quad.poly import LaurentPolynomial
+from szego_quad.quadrature import invariant_zeros
 
 from conftest import random_schur
 
@@ -199,6 +202,65 @@ def test_polyseq_zero_coefficient():
     with pytest.raises(ZeroCoefficient) as exc:
         sof_combo(lebesgue_table(), spec, 2)
     assert exc.value.detail["n"] == 2
+
+
+# ---------------------------------------------------------------------------
+# second-kind members against a 60-digit recurrence
+
+
+def mp_member_zeros(coeffs, n, angle, A, B):
+    """Zeros of the member alpha = w^{-n/2} (A Phi_n(w) + B Omega_n(w)), w = e^{i angle}.
+
+    Phi_n(w) and Omega_n(w) come from the monic recurrence on a and -a in
+    60-digit mpmath; the zeros of Phi_n + t Phi_n*, t = -alpha / conj(alpha),
+    start from the CMV eigenvalues for t and take two 60-digit Newton steps."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpc(complex(x)) for x in coeffs[:n]]
+
+        def values(z, sign):
+            p = s = mpmath.mpc(1)
+            dp = ds = mpmath.mpc(0)
+            for ak in a:
+                ak = sign * ak
+                zp, dzp = z * p, p + z * dp
+                p, s = zp + ak * s, s + mpmath.conj(ak) * zp
+                dp, ds = dzp + ak * ds, ds + mpmath.conj(ak) * dzp
+            return p, s, dp, ds
+
+        w = mpmath.expj(mpmath.mpf(angle))
+        value = A * values(w, 1)[0] + B * values(w, -1)[0]
+        alpha = mpmath.expj(-n * mpmath.mpf(angle) / 2) * value
+        t = -alpha / mpmath.conj(alpha)
+        out = []
+        for theta in invariant_zeros(SchurSequence(coeffs[:n]), n, complex(t)):
+            z = mpmath.expj(mpmath.mpf(float(theta)))
+            for _ in range(2):
+                p, s, dp, ds = values(z, 1)
+                z = mpmath.expj(mpmath.arg(z - (p + t * s) / (dp + t * ds)))
+            out.append(float(mpmath.arg(z)) % (2 * np.pi))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("measure", ["half_circle", "geronimus_0.9"])
+def test_second_kind_members_match_mpmath(measure):
+    # Omega_n(w) from Horner on the monic second-kind table put these zeros
+    # up to 1.3e-4 (half circle) and 0.52 rad (Geronimus) off
+    if measure == "half_circle":
+        schur = schur_from_measure(ArcDensity("uniform", (0.0, np.pi)), 40)
+    else:
+        schur = SchurSequence(np.full(40, 0.9))
+    table = build_opuc(schur, 40)
+    omegas = second_kind(schur, 40)
+    for angle in (0.7, 2.0, 3.1):
+        w = np.exp(1j * angle)
+        for inst, (A, B) in (
+            (sof_f2(table, omegas, 40, w), (0, -1j)),
+            (sof_combo(table, SofFamilySpec.combo(0.7, -1.2, w), 40, omegas), (0.7, 1.2j)),
+        ):
+            want = mp_member_zeros(schur.coefficients, 40, angle, A, B)
+            assert len(inst.zeros) == 40
+            dist = circular_distance(want[:, None], inst.zeros[None, :]).min(axis=1)
+            assert np.max(dist) < 1e-12, (inst.label, angle, np.max(dist))
 
 
 # ---------------------------------------------------------------------------
