@@ -38,9 +38,9 @@ f1 = sof_f1(table, 5, w, omega0=angle)
 print(f"first kind, n = 5, anchor angle {angle}:")
 print("  zeros:", np.array2string(f1.zeros, precision=6))
 print(f"  anchor is a zero: {np.min(np.abs(f1.zeros - angle)) < 1e-12}")
-vals = f1.realization()
 probe = np.linspace(0, 2 * np.pi, 7)
-print("  imaginary leak on the circle:", f"{vals.imag_leak(probe):.2e}")
+print("  real values on a coarse grid:", np.array2string(f1.value(probe), precision=4))
+print(f"  largest |value| at the zeros: {np.max(np.abs(f1.value(f1.zeros))):.2e}")
 
 # 2. second kind: same degree, same anchor, but the anchor is repelled
 f2 = sof_f2(table, omegas, 5, w, omega0=angle)

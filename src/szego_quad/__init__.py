@@ -63,7 +63,6 @@ from .quadrature import (
 )
 from .sof import (
     InterlaceResult,
-    RealCircleFunction,
     SofFamilySpec,
     SofInstance,
     f_sequence,

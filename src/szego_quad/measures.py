@@ -448,6 +448,8 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     which it fails.
     """
     n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max = {n_max} outside 0..{m.K}")
     if n_max > m.K:
         raise MomentRangeExceeded(
             f"extraction to degree {n_max} needs moments up to c_{n_max}", K=m.K
@@ -558,8 +560,8 @@ def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:
     is known.
     """
     K = int(K)
-    if K > schur.max_order:
-        raise ValueError(f"K = {K} exceeds the {schur.max_order} available Schur coefficients")
+    if not 0 <= K <= schur.max_order:
+        raise ValueError(f"K = {K} outside 0..{schur.max_order}, the available Schur coefficients")
     C = cmv_matrix(schur, K + 1, -1.0)
     v = np.eye(K + 1, dtype=complex)[0]
     c = np.empty(K + 1, dtype=complex)

@@ -169,8 +169,8 @@ def kernel_diag(table: OpucTable, n: int, z):
     Always >= 1 since the degree-zero term contributes 1.  Accepts scalar or
     array z and returns matching shape.
     """
-    if n > table.order:
-        raise ValueError(f"kernel degree {n} exceeds table order {table.order}")
+    if not 0 <= n <= table.order:
+        raise ValueError(f"kernel degree {n} outside 0..{table.order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
     acc = szego_values(table.schur, n, zs)[2]
@@ -184,8 +184,8 @@ def kernel_eval(table: OpucTable, n: int, z, y):
     off the circle too.  The table must reach degree n+1, and |1 - conj(y) z|
     <= 1e-8 raises NearDiagonal (the quotient cancels; kernel_diag serves z = y).
     """
-    if n + 1 > table.order:
-        raise ValueError(f"kernel degree {n} needs table order {n + 1}")
+    if not 0 <= n < table.order:
+        raise ValueError(f"kernel degree {n} outside 0..{table.order - 1}")
     z = complex(z)
     y = complex(y)
     denom = 1.0 - np.conj(y) * z
@@ -201,8 +201,8 @@ def kernel_eval(table: OpucTable, n: int, z, y):
 
 def kernel_polynomial(table: OpucTable, n: int, y) -> ComplexPolynomial:
     """K_n(., y) as a degree-n polynomial in the first argument."""
-    if n > table.order:
-        raise ValueError(f"kernel degree {n} exceeds table order {table.order}")
+    if not 0 <= n <= table.order:
+        raise ValueError(f"kernel degree {n} outside 0..{table.order}")
     c = np.zeros(n + 1, dtype=complex)
     for k in range(n + 1):
         c[: k + 1] += (np.conj(table.phi[k](y)) / table.e[k]) * table.phi[k].coeffs

@@ -42,8 +42,8 @@ class InvariantPop:
 def make_pop(table: OpucTable, n: int, alpha, beta) -> InvariantPop:
     """Form the invariant combination; moduli of alpha and beta must agree."""
     n = int(n)
-    if n > table.order:
-        raise ValueError(f"degree {n} exceeds table order {table.order}")
+    if not 1 <= n <= table.order:
+        raise ValueError(f"degree {n} outside 1..{table.order}")
     alpha = complex(alpha)
     beta = complex(beta)
     scale = max(abs(alpha), abs(beta))

@@ -20,13 +20,16 @@ both sides of every identity use the same branch.  Every member goes through
 the one coefficient formula in sof_combo: Phi_n(w) and Omega_n(w) both come
 from the normalized recurrence (Omega_n is Phi_n of the sign-flipped Schur
 sequence), not from a monic table, and the zeros are CMV eigenvalues
-(invariant_zeros).  The omegas arguments of sof_f2, sof_combo and zero_cloud
-are accepted and not read.
+(invariant_zeros).  Values use the same recurrence, phi_n = Phi_n / sqrt(e_n):
+f_n = 2 sqrt(e_n) Im u with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2},
+and at a zero the Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z)
+/ |phi_n(z)|^2; N_n serves output and test oracles only.  The omegas
+arguments of sof_f2, sof_combo and zero_cloud are accepted and not read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,29 +49,6 @@ def _canonical_anchor(w, omega0):
         raise OffCircle(f"anchor off the unit circle: |w| = {abs(w):.17g}")
     angle = fold_angle(float(np.angle(w)), omega0)
     return np.exp(1j * angle), angle
-
-
-@dataclass(frozen=True, eq=False)
-class RealCircleFunction:
-    """Real-valued realization N(e^{i theta}) exp(-i * half_exponent * theta / 2)."""
-
-    numerator: ComplexPolynomial
-    half_exponent: int
-    label: str = ""
-
-    def complex_values(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.numerator.at_angle(theta) * half_power(theta, -self.half_exponent)
-
-    def __call__(self, theta):
-        vals = self.complex_values(theta)
-        return float(np.real(vals)) if np.ndim(theta) == 0 else np.real(vals)
-
-    def imag_leak(self, theta):
-        """Largest relative imaginary residue over the sample angles."""
-        vals = self.complex_values(theta)
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        return float(np.max(np.abs(np.imag(vals)))) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,29 +108,50 @@ class SofInstance:
     n is the numerator degree (the realization phase is e^{-i n theta / 2});
     index is the position in the generating sequence and equals n except for
     the odd members of the alternating anchor sequence, which carry one
-    fewer zero than their index.
+    fewer zero than their index; alpha belongs to the degree-index member.
     """
 
     n: int
     index: int
     numerator: ComplexPolynomial
     alpha: complex | None
+    table: OpucTable = field(repr=False)
     w: complex
     anchor_angle: float
     omega0: float
     zeros: np.ndarray
     label: str = ""
 
-    def realization(self) -> RealCircleFunction:
-        return RealCircleFunction(self.numerator, self.n, self.label)
+    def _value_slope(self, theta):
+        """f(theta) and, at zeros of f, the complex slope f'(theta) from one sweep of
+        the recurrence (see the module docstring); its imaginary part is the
+        disagreement between the zeros and alpha.  An odd ladder member divides
+        both by 2 sin((theta - theta_w) / 2), and within 1e-9 of the anchor its
+        value is the limit, the slope over cos((theta - theta_w) / 2) = +-1."""
+        m = self.index
+        p, _, acc = szego_values(self.table.schur, m, np.exp(1j * theta))
+        mod2 = np.abs(p) ** 2
+        root_e = np.sqrt(self.table.e[m])
+        u = np.conj(self.alpha) * p * half_power(theta, -m)
+        f, slope = 2.0 * root_e * np.imag(u), root_e * u * (acc - mod2) / mod2
+        if self.n == self.index:
+            return f, slope
+        half = 0.5 * (theta - self.anchor_angle)
+        chord = 2.0 * np.sin(half)
+        at = np.abs(chord) <= _ANCHOR_TOL
+        chord = np.where(at, np.cos(half), chord)
+        return np.where(at, np.real(slope), f) / chord, slope / chord
 
     def value(self, theta):
-        return self.realization()(theta)
+        """Real value f(theta) on the circle; F_1 of f_sequence is the constant 1."""
+        theta = np.asarray(theta, dtype=float)
+        vals = np.ones(theta.shape) if self.alpha is None else self._value_slope(theta)[0]
+        return float(vals) if theta.ndim == 0 else vals
 
     def as_pop_pair(self):
         """(alpha, beta) such that numerator = alpha Phi_n + beta Phi_n*."""
-        if self.alpha is None:
-            raise ValueError("this instance was not built from a single coefficient alpha")
+        if self.n != self.index:
+            raise ValueError(f"numerator degree {self.n} is below the index {self.index}")
         return -1j * np.conj(self.alpha), 1j * self.alpha
 
 
@@ -217,6 +218,7 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
         index=n,
         numerator=(-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n],
         alpha=complex(alpha),
+        table=table,
         w=w,
         anchor_angle=angle,
         omega0=float(spec.omega0),
@@ -233,7 +235,8 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
     the first-kind numerator of degree 2k + 1 divided by (z - w), a
     1-invariant polynomial of degree 2k whose zeros are those of the
     first-kind member without the anchor; the anchor re-enters as the extra
-    quadrature node.  F_1 is the constant 1 with no zeros.
+    quadrature node; it keeps the first-kind alpha.  F_1 is the constant 1
+    with no zeros.
     """
     count = int(count)
     if count < 1:
@@ -255,6 +258,7 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
                     index=1,
                     numerator=ComplexPolynomial([1.0]),
                     alpha=None,
+                    table=table,
                     w=w,
                     anchor_angle=angle,
                     omega0=float(omega0),
@@ -274,7 +278,6 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
                 inst,
                 n=idx - 1,
                 numerator=complex(1j * half_power(angle, 1)) * quot,
-                alpha=None,
                 zeros=np.delete(inst.zeros, drop),
             )
         out.append(inst)
@@ -333,11 +336,14 @@ def interlace_check(a, b, omega0=0.0, exclude_anchor=None) -> InterlaceResult:
 def sturm_sign_probe(f_next: SofInstance, f_cur: SofInstance) -> np.ndarray:
     """Products i zeta f_next'(zeta) f_cur(zeta) over the zeros of f_next.
 
-    Zeros shared with f_cur (within 1e-9) are skipped; at such points the
-    product is identically zero and carries no sign information.  The
-    products of two members of one family are real; if the assembled phases
-    leak more than a 1e-7 relative imaginary part, PhaseLeak is raised
-    (mixing instances built in different windows is the usual cause).
+    In the angle these are f_next'(theta) f_cur(theta): the slope is the
+    Christoffel-Darboux limit and the value the recurrence value (see
+    SofInstance.value), so first against second kind gives 2 e_n^2
+    K_{n-1}(zeta, zeta).  Zeros shared with f_cur (within 1e-9) are skipped;
+    at such points the product is identically zero and carries no sign
+    information.  Instances from different windows raise ValueError.  A
+    relative imaginary part above 1e-7 in the slope means the zeros and the
+    coefficient alpha of f_next disagree, and raises PhaseLeak.
     """
     if abs(f_next.omega0 - f_cur.omega0) > 1e-12:
         raise ValueError("instances were built in different windows")
@@ -347,18 +353,8 @@ def sturm_sign_probe(f_next: SofInstance, f_cur: SofInstance) -> np.ndarray:
         zeros = zeros[dist.min(axis=1) > _ANCHOR_TOL]
     if len(zeros) == 0:
         return np.empty(0, dtype=float)
-    z = np.exp(1j * zeros)
-    dnum = f_next.numerator.derivative()
-    prod = (
-        1j
-        * z
-        * dnum(z)
-        * half_power(zeros, -f_next.n)
-        * f_cur.numerator(z)
-        * half_power(zeros, -f_cur.n)
-    )
-    scale = np.maximum(np.abs(prod), 1e-300)
-    leak = float(np.max(np.abs(np.imag(prod)) / scale))
+    slope = f_next._value_slope(zeros)[1]
+    leak = float(np.max(np.abs(np.imag(slope)) / np.maximum(np.abs(slope), 1e-300)))
     if leak > 1e-7:
         raise PhaseLeak(f"imaginary residue {leak:.3e} in sign products", leak=leak)
-    return np.real(prod)
+    return np.real(slope) * f_cur.value(zeros)

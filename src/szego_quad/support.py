@@ -18,7 +18,7 @@ from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .measures import MeasureSpec, schur_from_measure
 from .opuc import OpucTable, build_opuc
 from .quadrature import QuadratureRule
-from .sof import SofFamilySpec, sof_combo
+from .sof import SofFamilySpec, SofInstance, sof_combo
 
 _EDGE_TOL = 1e-12
 _SLIVER = 1e-9
@@ -282,20 +282,21 @@ def support_estimate(
     )
 
 
-def sine_pair_residual(numerator, theta1, theta2, rule: QuadratureRule) -> float:
+def sine_pair_residual(member: SofInstance, theta1, theta2, rule: QuadratureRule) -> float:
     """Vanishing test for the split-kernel sum over a finer rule.
 
     Computes sum_k H_k |P(e^{i theta_k})|^2 / (sin((theta_k - theta1)/2)
-    sin((theta_k - theta2)/2)) normalized by the sum of absolute terms; for
-    theta1, theta2 two zeros of the degree-n invariant numerator P and a rule
-    of order above n, the signed sum vanishes.  Nodes coinciding with theta1
-    or theta2 are skipped (their limit contribution is zero).
+    sin((theta_k - theta2)/2)) normalized by the sum of absolute terms, with
+    |P|^2 = f^2 from the member's recurrence value (SofInstance.value); for
+    theta1, theta2 two zeros of the member's degree-n invariant numerator P
+    and a rule of order above n, the signed sum vanishes.  Nodes coinciding
+    with theta1 or theta2 are skipped (their limit contribution is zero).
     """
     tk = rule.node_angles
     s1 = np.sin(0.5 * (tk - float(theta1)))
     s2 = np.sin(0.5 * (tk - float(theta2)))
     keep = (np.abs(s1) > 1e-7) & (np.abs(s2) > 1e-7)
-    vals = np.abs(numerator.at_angle(tk[keep])) ** 2
+    vals = member.value(tk[keep]) ** 2
     terms = rule.weights[keep] * vals / (s1[keep] * s2[keep])
     denom = float(np.sum(np.abs(terms)))
     if denom == 0.0:

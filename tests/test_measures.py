@@ -268,6 +268,17 @@ def test_inner_product_range_guard():
 # Schur extraction
 
 
+def test_moment_schur_degree_range():
+    # negative degrees died with IndexError and numpy's "negative dimensions"
+    s = SchurSequence([0.3, -0.2j])
+    with pytest.raises(ValueError, match=r"K = -1 outside 0\.\.2"):
+        moments_from_schur(s, -1)
+    with pytest.raises(ValueError, match=r"K = 3 outside 0\.\.2"):
+        moments_from_schur(s, 3)
+    with pytest.raises(ValueError, match=r"n_max = -1 outside 0\.\.2"):
+        schur_from_moments(moments_from_schur(s, 2), -1)
+
+
 def test_schur_from_moments_lebesgue():
     s = schur_from_moments(moments(Lebesgue(), 8), 8)
     assert all(s.a(k) == 0.0 for k in range(1, 9))

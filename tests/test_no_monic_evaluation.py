@@ -1,10 +1,11 @@
 """The numeric core evaluates no monic table.
 
-Point values come from the normalized Szego recurrence and zeros from the
-CMV eigenproblem; Horner on monic coefficients is kept for output and test
-oracles only.  Every library entry point below must run with polynomial
-evaluation disabled.  Polynomial families are left out: they evaluate the
-caller's coefficient polynomials A and B at the anchor.
+Point values, member values and slopes come from the normalized Szego
+recurrence and zeros from the CMV eigenproblem; Horner on monic coefficients
+is kept for output and test oracles only.  Every library entry point below
+must run with polynomial evaluation and differentiation disabled.
+Polynomial families are left out: they evaluate the caller's coefficient
+polynomials A and B at the anchor.
 """
 
 import numpy as np
@@ -18,13 +19,16 @@ from szego_quad import (
     build_opuc,
     kernel_diag,
     kernel_eval,
+    f_sequence,
     make_pop,
     make_rule,
     moments_from_schur,
     second_kind,
+    sine_pair_residual,
     sof_combo,
     sof_f1,
     sof_f2,
+    sturm_sign_probe,
     support_estimate,
     zero_cloud,
 )
@@ -37,6 +41,7 @@ def no_horner(monkeypatch):
 
     monkeypatch.setattr(ComplexPolynomial, "__call__", refuse)
     monkeypatch.setattr(ComplexPolynomial, "at_angle", refuse)
+    monkeypatch.setattr(ComplexPolynomial, "derivative", refuse)
 
 
 def test_numeric_core_reads_no_monic_values(no_horner):
@@ -55,3 +60,19 @@ def test_numeric_core_reads_no_monic_values(no_horner):
     assert rule.exactness_residual < 1e-10
     assert kernel_diag(table, 10, w) >= 1.0
     assert np.isfinite(kernel_eval(table, 10, w, np.exp(0.5j)))
+
+
+def test_member_values_and_probes_read_no_monic_values(no_horner):
+    schur = SchurSequence(np.full(12, 0.9) * np.exp(0.3j * np.arange(12)))
+    table = build_opuc(schur, 12)
+    w = np.exp(2.0j)
+    f1, f2 = sof_f1(table, 11, w), sof_f2(table, None, 11, w)
+    assert np.max(np.abs(f1.value(f1.zeros))) < 1e-9
+    assert np.all(sturm_sign_probe(f1, f2) > 0)
+    rule = make_rule(table, moments_from_schur(schur, 12), make_pop(table, 12, 1.0, 1.0))
+    assert sine_pair_residual(f1, f1.zeros[0], f1.zeros[1], rule) <= 1e-7
+    seq = f_sequence(table, w, 12)
+    theta = np.append(np.linspace(0.0, 6.0, 7), seq[0].anchor_angle)
+    for cur, nxt in zip(seq, seq[1:]):
+        assert np.all(np.isfinite(nxt.value(theta)))
+        assert np.all(np.isfinite(sturm_sign_probe(nxt, cur)))

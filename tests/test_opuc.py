@@ -155,6 +155,18 @@ def test_kernel_diag_off_circle():
         kernel_diag(t, 1, 1.5)
 
 
+def test_kernel_degree_range():
+    # a negative degree used to slice the recurrence silently: kernel_diag
+    # at -1 returned 4.87 here and kernel_eval at -2 a number
+    t = build_opuc(random_schur(np.random.default_rng(3), 6), 6)
+    with pytest.raises(ValueError, match=r"kernel degree -1 outside 0\.\.6"):
+        kernel_diag(t, -1, 1.0)
+    with pytest.raises(ValueError, match=r"kernel degree -2 outside 0\.\.5"):
+        kernel_eval(t, -2, np.exp(0.3j), np.exp(1.3j))
+    with pytest.raises(ValueError, match=r"kernel degree 6 outside 0\.\.5"):
+        kernel_eval(t, 6, np.exp(0.3j), np.exp(1.3j))
+
+
 def test_kernel_eval_lebesgue():
     t = build_opuc(SchurSequence.zeros(4), 4)
     z, y = np.exp(0.9j), np.exp(-0.4j)

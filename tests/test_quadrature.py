@@ -83,6 +83,14 @@ def test_make_pop_modulus_guard():
         make_pop(table, 2, 0.0, 0.0)
 
 
+def test_make_pop_degree_range():
+    # degree 0 was accepted and make_rule on it died inside numpy
+    table, _ = lebesgue_setup(2)
+    for n in (0, -1, 3):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            make_pop(table, n, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # zero location
 

@@ -87,9 +87,8 @@ def test_f1_anchor_pinned_in_shifted_window():
 def test_f1_realization_is_real(rng):
     table = build_opuc(random_schur(rng, 5), 5)
     inst = sof_f1(table, 5, np.exp(0.4j))
-    theta = 2 * np.pi * rng.random(64)
-    assert inst.realization().imag_leak(theta) < 1e-12
     vals = inst.value(inst.zeros)
+    assert vals.dtype == float
     assert np.max(np.abs(vals)) < 1e-9
 
 
@@ -135,6 +134,30 @@ def test_f2_anchor_value_single_coefficient():
     table = build_opuc(schur, 1)
     inst = sof_f2(table, second_kind(schur, 1), 1, 1.0)
     assert abs(inst.value(0.0) - 1.5) < 1e-12
+
+
+def mp_member_value(table, n, alpha, theta):
+    """f_n(theta) = -i (conj(alpha) Phi_n - alpha Phi_n*)(z) e^{-i n theta / 2} and its
+    envelope 2 |alpha Phi_n(z)|, from the monic recurrence in 60 digits."""
+    with mpmath.workdps(60):
+        th = mpmath.mpf(float(theta))
+        z = mpmath.expj(th)
+        p = s = mpmath.mpc(1)
+        for a in table.schur.coefficients[:n]:
+            a = mpmath.mpc(complex(a))
+            p, s = z * p + a * s, s + mpmath.conj(a) * z * p
+        al = mpmath.mpc(complex(alpha))
+        f = -1j * (mpmath.conj(al) * p - al * s) * mpmath.expj(-n * th / 2)
+        return float(mpmath.re(f)), float(2 * abs(al * p))
+
+
+def test_f2_value_on_hann_arc_matches_mpmath():
+    # Horner on the monic numerator was off by half the envelope here
+    table = build_opuc(schur_from_measure(ArcDensity("hann", (0.0, np.pi)), 40), 40)
+    inst = sof_f2(table, None, 40, np.exp(2.0j), 2.0)
+    for theta in inst.zeros:
+        want, envelope = mp_member_value(table, 40, inst.alpha, theta)
+        assert abs(inst.value(theta) - want) <= 1e-12 * envelope
 
 
 def test_f2_anchor_value_random(rng):
@@ -377,6 +400,37 @@ def test_f_sequence_odd_numerator_orthogonal_for_modified_measure(rng):
         assert abs(inner_product(modified, num, mono)) < 1e-9
 
 
+def horner_value(inst, theta):
+    return np.real(inst.numerator.at_angle(theta) * np.exp(-0.5j * inst.n * theta))
+
+
+def horner_sturm(f_next, f_cur, theta):
+    z = np.exp(1j * theta)
+    slope = 1j * z * f_next.numerator.derivative()(z) * np.exp(-0.5j * f_next.n * theta)
+    return np.real(slope * f_cur.numerator(z) * np.exp(-0.5j * f_cur.n * theta))
+
+
+def test_f_sequence_odd_members_match_deflated_numerator(rng):
+    # the deflated first-kind numerator, evaluated by Horner, is the oracle
+    # for the recurrence values of every member, the anchor included
+    for _ in range(3):
+        table = build_opuc(random_schur(rng, 12, cap=0.5), 12)
+        seq = f_sequence(table, np.exp(2j * np.pi * rng.random()), 12)
+        anchor = seq[0].anchor_angle
+        theta = np.append(2 * np.pi * rng.random(32), [anchor, anchor + 2 * np.pi])
+        for cur, nxt in zip(seq, seq[1:]):
+            want = horner_value(nxt, theta)
+            assert np.max(np.abs(nxt.value(theta) - want)) <= 1e-12 * np.max(np.abs(want))
+            probes = sturm_sign_probe(nxt, cur)
+            shared = circular_distance(nxt.zeros[:, None], cur.zeros[None, :]) <= 1e-9
+            zeros = nxt.zeros[~shared.any(axis=1)] if len(cur.zeros) else nxt.zeros
+            want = horner_sturm(nxt, cur, zeros)
+            assert len(probes) == len(want)
+            assert np.max(np.abs(probes - want) / np.abs(want)) < 1e-11
+        with pytest.raises(ValueError, match="index 3"):
+            seq[2].as_pop_pair()
+
+
 def test_f_sequence_guards():
     with pytest.raises(ValueError):
         f_sequence(lebesgue_table(), [1.0], 0)
@@ -486,6 +540,36 @@ def test_sturm_probe_matches_kernel_diagonal(rng):
             assert np.max(np.abs(probes - want) / want) < 1e-8
 
 
+def half_circle_schur():
+    return schur_from_measure(ArcDensity("uniform", (0.0, np.pi)), 40)
+
+
+def geronimus_schur():
+    return SchurSequence(np.full(40, 0.9))
+
+
+@pytest.mark.parametrize(
+    "make_schur, n, angle",
+    [
+        (half_circle_schur, 30, 2.0),
+        (half_circle_schur, 40, 2.0),
+        (geronimus_schur, 20, 3.1),
+        (geronimus_schur, 40, 3.1),
+    ],
+)
+def test_sturm_probe_arc_sequences_match_kernel(make_schur, n, angle):
+    # the derivative of the monic numerator, evaluated by Horner, leaked an
+    # imaginary part of 7e-6 up to 1 here and raised a false PhaseLeak
+    table = build_opuc(make_schur(), 40)
+    w = np.exp(1j * angle)
+    f1 = sof_f1(table, n, w, omega0=angle)
+    probes = sturm_sign_probe(f1, sof_f2(table, None, n, w, omega0=angle))
+    want = 2 * table.e[n] ** 2 * kernel_diag(table, n - 1, np.exp(1j * f1.zeros))
+    assert len(probes) == n
+    assert np.all(probes > 0)
+    assert np.max(np.abs(probes - want) / want) < 1e-11
+
+
 def test_sturm_probe_window_mismatch():
     table = lebesgue_table()
     a = sof_f1(table, 3, 1.0)
@@ -497,7 +581,9 @@ def test_sturm_probe_window_mismatch():
 def test_sturm_probe_phase_leak():
     table = lebesgue_table()
     cur = sof_f1(table, 2, 1.0)
-    tampered = replace(sof_f1(table, 3, 1.0), numerator=1j * sof_f1(table, 3, 1.0).numerator)
+    nxt = sof_f1(table, 3, 1.0)
+    # a coefficient turned by e^{i pi / 4} disagrees with the zeros it came with
+    tampered = replace(nxt, alpha=nxt.alpha * np.exp(0.25j * np.pi))
     with pytest.raises(PhaseLeak) as exc:
         sturm_sign_probe(tampered, cur)
     assert exc.value.detail["leak"] > 1e-7

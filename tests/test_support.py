@@ -28,6 +28,7 @@ from conftest import random_schur
 
 ARC = (np.pi / 2, 3 * np.pi / 2)
 ARC_SPEC = ArcDensity(name="uniform", arc=ARC)
+ARC_HALF = ArcDensity(name="uniform", arc=(0.0, np.pi))
 
 
 def lebesgue_cloud(n_max, family=None):
@@ -208,5 +209,14 @@ def test_sine_pair_residual_vanishes(rng):
     m = moments_from_schur(schur, 10)
     inst = sof_f1(table, 3, np.exp(0.4j))
     rule = make_rule(table, m, make_pop(table, 8, 1.0, 1.0))
-    res = sine_pair_residual(inst.numerator, inst.zeros[0], inst.zeros[1], rule)
+    res = sine_pair_residual(inst, inst.zeros[0], inst.zeros[1], rule)
     assert res <= 1e-7
+
+
+def test_sine_pair_residual_vanishes_on_half_circle():
+    # |P|^2 from Horner on the monic numerator left a residual of 1.1e-5 here
+    schur = schur_from_measure(ARC_HALF, 40)
+    table = build_opuc(schur, 40)
+    rule = make_rule(table, moments_from_schur(schur, 40), make_pop(table, 40, 1.0, 1.0))
+    inst = sof_f1(table, 30, np.exp(0.4j))
+    assert sine_pair_residual(inst, inst.zeros[0], inst.zeros[1], rule) <= 1e-7
