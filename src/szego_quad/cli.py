@@ -155,7 +155,24 @@ def _resolve(args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
+    _check_params(params)
     return measure, params
+
+
+def _check_params(params):
+    """Finiteness and ranges of the merged parameters, wherever they came from."""
+    for key in sorted(_FLOAT_PARAMS & params.keys()):
+        if not np.isfinite(params[key]):
+            raise ConfigError(f"parameters.{key}: must be finite", field=key)
+    if "epsilon" in params and params["epsilon"] <= 0:
+        raise ConfigError("parameters.epsilon: must be positive", field="epsilon")
+    angles = params.get("anchor_angles")
+    if angles is not None and (not angles or not np.all(np.isfinite(angles))):
+        msg = "parameters.anchor_angles: expected a nonempty list of finite angles"
+        raise ConfigError(msg, field="anchor_angles")
+    n_min = params.get("n_min")
+    if n_min is not None and not 1 <= n_min <= params.get("n_max", n_min):
+        raise ConfigError("parameters.n_min: must lie in 1..n_max", field="n_min")
 
 
 def _require_int(params, key):
@@ -271,8 +288,6 @@ def _run_support(measure, params):
     if "epsilon" not in params:
         raise ConfigError("parameters.epsilon: required and missing", field="epsilon")
     epsilon = float(params["epsilon"])
-    if epsilon <= 0:
-        raise ConfigError("parameters.epsilon: must be positive", field="epsilon")
     if params.get("format", "json") == "csv":
         raise ConfigError("support emits a JSON report; csv is not available for this task")
     anchors = [np.exp(1j * a) for a in _anchor_list(params)]
@@ -301,6 +316,7 @@ def _run_validate(args):
         problems.insert(0, "task: required for validate and missing")
     if problems:
         raise ConfigError("; ".join(problems), diagnostics=problems)
+    _check_params(cfg.get("parameters", {}))
     sys.stdout.write("ok\n")
     return 0
 

@@ -298,15 +298,6 @@ class MomentTable:
         return np.array([self.get(k) for k in range(int(lo), int(hi) + 1)])
 
 
-def _normalized(raw):
-    mass = raw[0].real
-    if not mass > 0:
-        raise ValueError("measure has nonpositive mass")
-    out = raw / mass
-    out[0] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # discretization
 
@@ -439,6 +430,10 @@ def inner_product(m: MomentTable, f, g) -> complex:
     return complex(fc @ cmat @ np.conj(gc))
 
 
+def _degenerate(n, what, **detail):
+    return NotPositiveDefinite(f"moment form degenerates at degree {n}: {what}", n=n, **detail)
+
+
 def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     """Levinson-style extraction of the first n_max Schur coefficients.
 
@@ -461,38 +456,20 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     # lets arc-supported measures (e_n ~ 2^-n) reach degree 30 and beyond
     full = np.array([m.get(k) for k in range(-n_max + 1, n_max + 1)]) if n_max else None
     mid = n_max - 1
-
-    def cm(k: int) -> complex:
-        return full[mid + k]
-
     out = np.empty(n_max, dtype=complex)
     for n in range(n_max):
-        if n == 0:
-            phi = np.array([1.0 + 0.0j])
-        else:
-            rows = np.arange(n)
-            A = full[mid + rows[None, :] - rows[:, None]]
-            b = -np.array([cm(n - k) for k in range(n)])
-            try:
-                coef = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    f"moment form degenerates at degree {n}: singular Toeplitz system",
-                    n=n,
-                ) from None
-            phi = np.append(coef, 1.0)
-        e = (phi @ np.array([cm(j - n) for j in range(n + 1)])).real
+        rows = np.arange(n)
+        try:
+            coef = np.linalg.solve(full[mid + rows[None, :] - rows[:, None]], -full[mid + n - rows])
+        except np.linalg.LinAlgError:
+            raise _degenerate(n, "singular Toeplitz system") from None
+        phi = np.append(coef, 1.0)
+        e = (phi @ full[mid - n : mid + 1]).real
         if e <= 0.0:
-            raise NotPositiveDefinite(
-                f"moment form degenerates at degree {n}: e_{n} = {e:.17g}", n=n
-            )
-        a = -(phi @ np.array([cm(j + 1) for j in range(n + 1)])) / e
+            raise _degenerate(n, f"e_{n} = {e:.17g}")
+        a = -(phi @ full[mid + 1 : mid + n + 2]) / e
         if abs(a) > SCHUR_GUARD:
-            raise NotPositiveDefinite(
-                f"moment form degenerates at degree {n + 1}: |a_{n + 1}| = {abs(a):.17g}",
-                n=n + 1,
-                magnitude=float(abs(a)),
-            )
+            raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
         out[n] = a
     return SchurSequence(out)
 
@@ -509,9 +486,7 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     for n in range(n_max):
         e = float(np.real(np.dot(weights, np.abs(phi) ** 2)))
         if e <= 0.0:
-            raise NotPositiveDefinite(
-                f"moment form degenerates at degree {n}: e_{n} = {e:.17g}", n=n
-            )
+            raise _degenerate(n, f"e_{n} = {e:.17g}")
         basis.append(phi)
         norms.append(e)
         v = z * phi
@@ -525,11 +500,7 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
                 v = v - g * basis[k]
         a = -ip / e
         if abs(a) > SCHUR_GUARD:
-            raise NotPositiveDefinite(
-                f"moment form degenerates at degree {n + 1}: |a_{n + 1}| = {abs(a):.17g}",
-                n=n + 1,
-                magnitude=float(abs(a)),
-            )
+            raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
         out[n] = a
         phi = v
     return out
@@ -590,12 +561,14 @@ def christoffel_moments(m: MomentTable, w) -> MomentTable:
         [2.0 * m.get(k) - w * m.get(k - 1) - np.conj(w) * m.get(k + 1) for k in range(K + 1)]
     )
     mass = raw[0].real
-    if mass <= 1e-14:
+    if not mass > 1e-14:
         raise NotPositiveDefinite(
             "modified measure has vanishing mass (original measure concentrates at w)",
             mass=float(mass),
         )
-    return MomentTable(_normalized(raw))
+    raw /= mass
+    raw[0] = 1.0
+    return MomentTable(raw)
 
 
 def christoffel_modify(table: OpucTable, w, n_max: int) -> list[ComplexPolynomial]:

@@ -10,12 +10,15 @@ degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
 the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
 conj(Phi_k(y)) / e_k.  Values, kernel diagonals and off-diagonal kernel values
 come from the normalized recurrence (szego_values), zeros and moments from the
-CMV matrix (cmv_matrix).  The monic table serves output and numerator probes.
+CMV matrix (cmv_matrix).  A table holds only the Schur parameters and the
+norms; its monic Phi_n and Phi_n* are built on first read, for output and
+test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,23 +68,32 @@ class SchurSequence:
 
 @dataclass(frozen=True, eq=False)
 class OpucTable:
-    """Monic polynomials Phi_0..Phi_order, their reversals, and norms e_n."""
+    """Schur parameters up to degree order and the norms e_0..e_order; the monic
+    Phi_n (phi) and Phi_n* (phi_star) are built on first read, by output and oracles."""
 
     schur: SchurSequence
-    phi: tuple
-    phi_star: tuple
     e: np.ndarray
     order: int
 
+    @cached_property
+    def phi(self) -> tuple:
+        """Monic Phi_0..Phi_order by the recurrence on exact reversals Phi_n*, which stay
+        below top degree, so every leading coefficient is exactly 1.0."""
+        one = ComplexPolynomial([1.0])
+        phi, star = [one], one
+        for n in range(self.order):
+            phi.append(phi[n].shifted(1) + self.schur.a(n + 1) * star)
+            star = phi[n + 1].conj_reverse(n + 1)
+        return tuple(phi)
+
+    @cached_property
+    def phi_star(self) -> tuple:
+        """Phi_n* = z^n conj(Phi_n)(1/z), n = 0..order."""
+        return tuple(p.conj_reverse(n) for n, p in enumerate(self.phi))
+
 
 def build_opuc(schur: SchurSequence, n_max: int) -> OpucTable:
-    """Run the Szego recurrence up to degree n_max.
-
-    The reversed polynomials are recomputed from the fresh Phi_{n+1} by exact
-    coefficient reversal, which keeps the pair bit-for-bit consistent.  The
-    leading coefficient of every Phi_n is exactly 1.0 because the reversal
-    contributes nothing at top degree.
-    """
+    """Table of the first n_max Schur parameters with e_0 = 1, e_n = e_{n-1} (1 - |a_n|^2)."""
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -89,18 +101,11 @@ def build_opuc(schur: SchurSequence, n_max: int) -> OpucTable:
         raise ValueError(
             f"n_max = {n_max} exceeds the {schur.max_order} available Schur coefficients"
         )
-    one = ComplexPolynomial([1.0])
-    phi = [one]
-    star = [one]
     e = np.ones(n_max + 1)
     for n in range(n_max):
-        a = schur.a(n + 1)
-        nxt = phi[n].shifted(1) + a * star[n]
-        phi.append(nxt)
-        star.append(nxt.conj_reverse(n + 1))
-        e[n + 1] = e[n] * (1.0 - abs(a) ** 2)
+        e[n + 1] = e[n] * (1.0 - abs(schur.a(n + 1)) ** 2)
     e.flags.writeable = False
-    return OpucTable(schur=schur, phi=tuple(phi), phi_star=tuple(star), e=e, order=n_max)
+    return OpucTable(schur=schur, e=e, order=n_max)
 
 
 def reverse(p: ComplexPolynomial, declared_degree=None) -> ComplexPolynomial:

@@ -23,7 +23,8 @@ sequence), not from a monic table, and the zeros are CMV eigenvalues
 (invariant_zeros).  Values use the same recurrence, phi_n = Phi_n / sqrt(e_n):
 f_n = 2 sqrt(e_n) Im u with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2},
 and at a zero the Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z)
-/ |phi_n(z)|^2; N_n serves output and test oracles only.  The omegas
+/ |phi_n(z)|^2; N_n (SofInstance.numerator) is formed from alpha and the
+table's monic Phi_n only when output or a test oracle reads it.  The omegas
 arguments of sof_f2, sof_combo and zero_cloud are accepted and not read.
 """
 
@@ -113,7 +114,6 @@ class SofInstance:
 
     n: int
     index: int
-    numerator: ComplexPolynomial
     alpha: complex | None
     table: OpucTable = field(repr=False)
     w: complex
@@ -121,6 +121,20 @@ class SofInstance:
     omega0: float
     zeros: np.ndarray
     label: str = ""
+
+    @property
+    def numerator(self) -> ComplexPolynomial:
+        """N_n on the monic table, for output and oracles: 1 for F_1, -i conj(alpha) Phi_n
+        + i alpha Phi_n* for a full member, for an odd ladder member that of its
+        index divided by (z - w), times i w^{1/2}."""
+        if self.alpha is None:
+            return ComplexPolynomial([1.0])
+        m, t = self.index, self.table
+        num = (-1j * np.conj(self.alpha)) * t.phi[m] + (1j * self.alpha) * t.phi_star[m]
+        if self.n == m:
+            return num
+        quot, _ = num.deflate(self.w)
+        return complex(1j * half_power(self.anchor_angle, 1)) * quot
 
     def _value_slope(self, theta):
         """f(theta) and, at zeros of f, the complex slope f'(theta) from one sweep of
@@ -216,7 +230,6 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
     return SofInstance(
         n=n,
         index=n,
-        numerator=(-1j * np.conj(alpha)) * table.phi[n] + (1j * alpha) * table.phi_star[n],
         alpha=complex(alpha),
         table=table,
         w=w,
@@ -256,7 +269,6 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
                 SofInstance(
                     n=0,
                     index=1,
-                    numerator=ComplexPolynomial([1.0]),
                     alpha=None,
                     table=table,
                     w=w,
@@ -270,16 +282,9 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
         inst = replace(sof_f1(table, idx, w, omega0), label=f"F_{idx}")
         if idx % 2:
             # the anchor is an exact zero of the first-kind member; dividing
-            # it out leaves the |z - w|^2-modified member of degree idx - 1,
-            # made 1-invariant again by the unimodular factor i w^{1/2}
-            quot, _ = inst.numerator.deflate(w)
+            # it out leaves the |z - w|^2-modified member of degree idx - 1
             drop = int(np.argmin(circular_distance(inst.zeros, angle)))
-            inst = replace(
-                inst,
-                n=idx - 1,
-                numerator=complex(1j * half_power(angle, 1)) * quot,
-                zeros=np.delete(inst.zeros, drop),
-            )
+            inst = replace(inst, n=idx - 1, zeros=np.delete(inst.zeros, drop))
         out.append(inst)
     return out
 

@@ -177,8 +177,8 @@ def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     reported with hi > 2 pi; the full circle comes back as (0, 2 pi).
     """
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if n_min is None:
         n_min = max(min(cloud.orders), max(cloud.orders) // 2)
     used = [n for n in cloud.orders if n >= n_min]

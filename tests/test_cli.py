@@ -283,6 +283,32 @@ def test_support_rejects_csv(capsys):
     assert "JSON" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["rule", "--n", "4", "--anchor-angle", "nan"], None),
+        (["zeros", "--n-max", "3", "--omega0", "inf"], None),
+        (["rule", "--n", "3", "--a1", "nan"], None),
+        (["support", "--n-max", "8", "--epsilon", "nan"], None),
+        (["support"], {"n_max": 8, "epsilon": 0.3, "n_min": 20}),
+        (["validate"], {"n_max": 8, "epsilon": 0.3, "n_min": 0}),
+        (["support"], {"n_max": 8, "epsilon": 0.3, "anchor_angles": []}),
+        (["fsequence"], {"n_max": 3, "anchor_angles": [0.5, float("nan")]}),
+    ],
+)
+def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
+    # a config's task must be a runnable one, also when validate reads it
+    if params is not None:
+        task = "support" if argv[0] == "validate" else argv[0]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"task": task, "parameters": params}))
+        argv = [*argv, "--config", str(cfg)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_config_file_missing_exits_2(capsys, tmp_path):
     rc, _, err = run(capsys, ["rule", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -19,6 +19,7 @@ from szego_quad import (
     reverse,
     second_kind,
 )
+from szego_quad.opuc import cmv_matrix, szego_values
 from szego_quad.poly import LaurentPolynomial
 
 from conftest import gram_schmidt_monic, random_schur
@@ -235,3 +236,27 @@ def test_e_sequence_monotone(rng):
     assert e[0] == 1.0
     assert np.all(np.diff(e) <= 0)
     assert np.all(e > 0)
+
+
+def test_szego_values_match_lazy_monic_table(rng):
+    # points on, inside and outside the circle
+    z = rng.uniform(0.5, 1.5, 6) * np.exp(2j * np.pi * rng.random(6))
+    z[:3] /= np.abs(z[:3])
+    for n in range(13):
+        t = build_opuc(random_schur(rng, 12), 12)
+        p, s, acc = szego_values(t.schur, n, z)
+        root_e = np.sqrt(t.e[n])
+        assert np.allclose(p, t.phi[n](z) / root_e, rtol=1e-12, atol=0)
+        assert np.allclose(s, t.phi_star[n](z) / root_e, rtol=1e-12, atol=0)
+        kernel = sum(np.abs(t.phi[k](z)) ** 2 / t.e[k] for k in range(n + 1))
+        assert np.allclose(acc, kernel, rtol=1e-12, atol=0)
+
+
+def test_cmv_matrix_unitary_with_characteristic_polynomial(rng):
+    for n in range(1, 13):
+        t = build_opuc(random_schur(rng, 12), 12)
+        lam = np.exp(2j * np.pi * rng.random())
+        c = cmv_matrix(t.schur, n, lam)
+        assert np.max(np.abs(c.conj().T @ c - np.eye(n))) < 1e-13
+        target = t.phi[n - 1].shifted(1) + lam * t.phi_star[n - 1]
+        assert np.max(np.abs(np.poly(c)[::-1] - target.padded(n + 1))) < 1e-12

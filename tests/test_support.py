@@ -120,6 +120,15 @@ def test_accumulation_guards():
         accumulation_set(cloud, 0.1, n_min=7)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_epsilon_raises(epsilon):
+    # NaN slipped through `epsilon <= 0` and produced an empty support
+    with pytest.raises(ValueError, match="finite"):
+        accumulation_set(lebesgue_cloud(6), epsilon)
+    with pytest.raises(ValueError, match="finite"):
+        support_estimate(ArcDensity("uniform", (1.0, 2.5)), [1.0], 16, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # census
 
