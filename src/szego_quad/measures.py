@@ -3,8 +3,10 @@
 A measure is declared structurally (absolutely continuous pieces, atoms,
 mixtures) and discretized once into positive nodes and weights; the
 trigonometric moments c_k = integral of z^k d(mu), reference integrals and
-value-space Schur extraction all read that discretization.  Schur parameters
-of a bare moment table come from a Levinson-style recurrence.  All measures
+value-space Schur extraction all read that discretization.  A measure and a
+bare moment table reach their Schur parameters through one Gram-Schmidt
+recurrence; only the inner product differs (weighted sums over the nodes, or
+the Toeplitz matrix of the moments on coefficient vectors).  All measures
 are normalized to unit total mass, so c_0 = 1 exactly.
 """
 
@@ -284,18 +286,21 @@ class MomentTable:
         return len(self.c) - 1
 
     def get(self, k):
-        k = int(k)
-        if abs(k) > self.K:
-            raise MomentRangeExceeded(
-                f"moment index {k} outside the computed range |k| <= {self.K}",
-                index=k,
-                K=self.K,
-            )
-        return complex(self.c[k]) if k >= 0 else complex(np.conj(self.c[-k]))
+        return complex(self.window(k, k)[0])
 
     def window(self, lo, hi):
-        """Array of c_k for k = lo..hi inclusive."""
-        return np.array([self.get(k) for k in range(int(lo), int(hi) + 1)])
+        """Array of c_k for k = lo..hi inclusive; MomentRangeExceeded names the
+        first index outside |k| <= K."""
+        ks = np.arange(int(lo), int(hi) + 1)
+        bad = ks[np.abs(ks) > self.K]
+        if bad.size:
+            raise MomentRangeExceeded(
+                f"moment index {bad[0]} outside the computed range |k| <= {self.K}",
+                index=int(bad[0]),
+                K=self.K,
+            )
+        c = self.c[np.abs(ks)]
+        return np.where(ks < 0, np.conj(c), c)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +429,9 @@ def inner_product(m: MomentTable, f, g) -> complex:
     jf = flo + np.arange(len(fc))
     jg = glo + np.arange(len(gc))
     diff = jf[:, None] - jg[None, :]
-    cmat = np.empty(diff.shape, dtype=complex)
-    for (r, s), d in np.ndenumerate(diff):
-        cmat[r, s] = m.get(int(d))
+    # the window always holds c_0, which keeps empty factors (form 0) valid
+    lo = int(diff.min(initial=0))
+    cmat = m.window(lo, diff.max(initial=0))[diff - lo]
     return complex(fc @ cmat @ np.conj(gc))
 
 
@@ -434,13 +439,48 @@ def _degenerate(n, what, **detail):
     return NotPositiveDefinite(f"moment form degenerates at degree {n}: {what}", n=n, **detail)
 
 
-def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
-    """Levinson-style extraction of the first n_max Schur coefficients.
+def _gram_schmidt(phi, n_max: int, shift, gram, norm=None) -> np.ndarray:
+    """a_1..a_{n_max} by Gram-Schmidt of z Phi_n against Phi_0..Phi_n.
 
-    Each step uses a_{n+1} = -<z Phi_n, 1> / e_n; positive definiteness of
-    the underlying moment form is detected through |a| staying strictly
-    inside the disk, and NotPositiveDefinite reports the first degree at
-    which it fails.
+    phi is Phi_0 = 1 in the caller's vector space, shift(v) multiplies by z
+    and gram(v) is the vector whose plain dot product with conj(u) gives
+    <v, u>; norm(v) = <v, v> defaults to that product.  Each step is two
+    passes of classical Gram-Schmidt, which keeps z Phi_n orthogonal even
+    when e_n is tiny, and a_{n+1} = -<z Phi_n, 1> / e_n.  NotPositiveDefinite
+    reports the first degree at which e_n or |a| leaves its range.
+    """
+    norm = norm or (lambda v: float(np.vdot(v, gram(v)).real))
+    basis = np.empty((n_max, phi.size), dtype=complex)
+    e = np.empty(n_max)
+    out = np.empty(n_max, dtype=complex)
+    for n in range(n_max):
+        e[n] = norm(phi)
+        if e[n] <= 0.0:
+            raise _degenerate(n, f"e_{n} = {e[n]:.17g}")
+        basis[n] = phi
+        v = shift(phi)
+        ip = 0.0 + 0.0j
+        for _ in range(2):
+            g = np.conj(basis[: n + 1] @ np.conj(gram(v))) / e[: n + 1]
+            ip += g[0]
+            v = v - g @ basis[: n + 1]
+        a = -ip / e[n]
+        if abs(a) > SCHUR_GUARD:
+            raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
+        out[n] = a
+        phi = v
+    return out
+
+
+def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
+    """The first n_max Schur coefficients of a moment table.
+
+    Gram-Schmidt on monomial coefficient vectors of degree <= n_max, with
+    the Toeplitz matrix of the moments as the Gram operator and
+    multiplication by z a shift of the coefficients.  Positive definiteness
+    of the moment form is detected through e_n > 0 and |a| staying strictly
+    inside the disk; NotPositiveDefinite reports the first degree at which
+    it fails.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -449,61 +489,21 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
         raise MomentRangeExceeded(
             f"extraction to degree {n_max} needs moments up to c_{n_max}", K=m.K
         )
-    # Phi_n is found by solving its Toeplitz orthogonality system each
-    # degree instead of by updating the previous Phi: the update recursion
-    # loses accuracy like 1/e_n^2 while a direct solve only pays the
-    # conditioning 1/e_n already present in the moment data, which is what
-    # lets arc-supported measures (e_n ~ 2^-n) reach degree 30 and beyond
-    full = np.array([m.get(k) for k in range(-n_max + 1, n_max + 1)]) if n_max else None
-    mid = n_max - 1
-    out = np.empty(n_max, dtype=complex)
-    for n in range(n_max):
-        rows = np.arange(n)
-        try:
-            coef = np.linalg.solve(full[mid + rows[None, :] - rows[:, None]], -full[mid + n - rows])
-        except np.linalg.LinAlgError:
-            raise _degenerate(n, "singular Toeplitz system") from None
-        phi = np.append(coef, 1.0)
-        e = (phi @ full[mid - n : mid + 1]).real
-        if e <= 0.0:
-            raise _degenerate(n, f"e_{n} = {e:.17g}")
-        a = -(phi @ full[mid + 1 : mid + n + 2]) / e
-        if abs(a) > SCHUR_GUARD:
-            raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
-        out[n] = a
-    return SchurSequence(out)
+    # toeplitz[k, j] = c_{j - k} = <z^j, z^k>; Phi_n has degree n < n_max, so
+    # the roll is a shift
+    k = np.arange(n_max + 1)
+    toeplitz = m.window(-n_max, n_max)[n_max + k[None, :] - k[:, None]]
+    phi, shift = (k == 0).astype(complex), lambda v: np.roll(v, 1)
+    return SchurSequence(_gram_schmidt(phi, n_max, shift, lambda v: toeplitz @ v))
 
 
 def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     """Schur coefficients of a discrete measure by Gram-Schmidt on node
-    values: a_{n+1} = -<z Phi_n, 1>/e_n with the inner products evaluated
-    pointwise, so no Toeplitz conditioning is paid."""
+    values, the inner products weighted sums over the nodes, so no Toeplitz
+    conditioning is paid; e_n is the weighted sum of |Phi_n|^2."""
     z = np.exp(1j * theta)
-    basis = []
-    norms = []
-    phi = np.ones_like(z)
-    out = np.empty(n_max, dtype=complex)
-    for n in range(n_max):
-        e = float(np.real(np.dot(weights, np.abs(phi) ** 2)))
-        if e <= 0.0:
-            raise _degenerate(n, f"e_{n} = {e:.17g}")
-        basis.append(phi)
-        norms.append(e)
-        v = z * phi
-        ip = 0.0 + 0.0j
-        # two passes keep the new vector orthogonal even when e_n is tiny
-        for _ in range(2):
-            for k in range(n + 1):
-                g = np.dot(weights, v * np.conj(basis[k])) / norms[k]
-                if k == 0:
-                    ip += g
-                v = v - g * basis[k]
-        a = -ip / e
-        if abs(a) > SCHUR_GUARD:
-            raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
-        out[n] = a
-        phi = v
-    return out
+    norm = lambda v: float(weights @ np.abs(v) ** 2)
+    return _gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, lambda v: weights * v, norm)
 
 
 def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
@@ -556,10 +556,9 @@ def christoffel_moments(m: MomentTable, w) -> MomentTable:
         raise OffCircle(f"modification point off the circle: |w| = {abs(w):.17g}")
     if m.K < 1:
         raise MomentRangeExceeded("need at least c_1 to modify", K=m.K)
-    K = m.K - 1
-    raw = np.array(
-        [2.0 * m.get(k) - w * m.get(k - 1) - np.conj(w) * m.get(k + 1) for k in range(K + 1)]
-    )
+    # scalar products: numpy's vector complex product rounds differently
+    c = m.window(-1, m.K).tolist()
+    raw = np.array([2.0 * c[k + 1] - w * c[k] - np.conj(w) * c[k + 2] for k in range(m.K)])
     mass = raw[0].real
     if not mass > 1e-14:
         raise NotPositiveDefinite(

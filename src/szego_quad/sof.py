@@ -261,29 +261,26 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
         raise ValueError(f"need {count} anchors, got {len(ws)}")
     if table.order < count:
         raise ValueError(f"table order {table.order} below sequence length {count}")
-    out = []
-    for idx in range(1, count + 1):
-        w, angle = _canonical_anchor(ws[idx - 1], omega0)
-        if idx == 1:
-            out.append(
-                SofInstance(
-                    n=0,
-                    index=1,
-                    alpha=None,
-                    table=table,
-                    w=w,
-                    anchor_angle=angle,
-                    omega0=float(omega0),
-                    zeros=np.empty(0, dtype=float),
-                    label="F_1",
-                )
-            )
-            continue
-        inst = replace(sof_f1(table, idx, w, omega0), label=f"F_{idx}")
+    w, angle = _canonical_anchor(ws[0], omega0)
+    out = [
+        SofInstance(
+            n=0,
+            index=1,
+            alpha=None,
+            table=table,
+            w=w,
+            anchor_angle=angle,
+            omega0=float(omega0),
+            zeros=np.empty(0, dtype=float),
+            label="F_1",
+        )
+    ]
+    for idx in range(2, count + 1):
+        inst = replace(sof_f1(table, idx, ws[idx - 1], omega0), label=f"F_{idx}")
         if idx % 2:
             # the anchor is an exact zero of the first-kind member; dividing
             # it out leaves the |z - w|^2-modified member of degree idx - 1
-            drop = int(np.argmin(circular_distance(inst.zeros, angle)))
+            drop = int(np.argmin(circular_distance(inst.zeros, inst.anchor_angle)))
             inst = replace(inst, n=idx - 1, zeros=np.delete(inst.zeros, drop))
         out.append(inst)
     return out

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints its narrative."""
+"""Every demo script runs to completion, with every warning an error, and
+prints its narrative."""
 
 import os
 import subprocess
@@ -15,7 +16,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

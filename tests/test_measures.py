@@ -319,14 +319,23 @@ def test_schur_from_moments_two_atoms_degenerate_at_two():
 
 
 def test_schur_from_measure_matches_moment_form():
-    for spec in (
-        Lebesgue(),
-        Density(name="one_minus_cos"),
-        Density(name="bernstein_szego", param=0.6),
+    two_arcs = Mixture(
+        components=(
+            (1.0, ArcDensity(name="uniform", arc=(0.5, 1.5))),
+            (1.0, ArcDensity(name="uniform", arc=(3.0, 4.5))),
+        )
+    )
+    for spec, n in (
+        (Lebesgue(), 12),
+        (Density(name="one_minus_cos"), 12),
+        (Density(name="bernstein_szego", param=0.6), 12),
+        (ArcDensity(name="uniform", arc=(0.0, np.pi)), 8),
+        (ArcDensity(name="hann", arc=(0.0, np.pi)), 8),
+        (two_arcs, 8),
     ):
-        a = schur_from_measure(spec, 12)
-        b = schur_from_moments(moments(spec, 12), 12)
-        assert max(abs(a.a(k) - b.a(k)) for k in range(1, 13)) < 1e-9
+        a = schur_from_measure(spec, n)
+        b = schur_from_moments(moments(spec, n), n)
+        assert max(abs(a.a(k) - b.a(k)) for k in range(1, n + 1)) < 1e-9
 
 
 def test_schur_from_measure_arc_reaches_high_degree():

@@ -431,6 +431,13 @@ def test_f_sequence_odd_members_match_deflated_numerator(rng):
             seq[2].as_pop_pair()
 
 
+def test_f_sequence_folds_each_anchor_once():
+    # folding the anchor a second time moves this angle by one ulp
+    seq = f_sequence(lebesgue_table(), np.exp(-9.180529521276107j), 6)
+    assert {inst.anchor_angle for inst in seq} == {seq[1].anchor_angle}
+    assert {inst.w for inst in seq} == {seq[1].w}
+
+
 def test_f_sequence_guards():
     with pytest.raises(ValueError):
         f_sequence(lebesgue_table(), [1.0], 0)
