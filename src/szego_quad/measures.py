@@ -38,6 +38,9 @@ from .opuc import (
 from .poly import ComplexPolynomial, LaurentPolynomial
 
 RESOLUTION_TOL = 1e-10
+# schur_from_moments stops where e_n departs from e_{n-1} (1 - |a_n|^2) by
+# more than this; the error of a_n follows the departure
+RECURRENCE_TOL = 1e-8
 _GL_POINTS = 32
 # panels per full circle or arc behind measure_integral: enough for the kink
 # of |sin(theta / 2)| at 0 to integrate to 1e-12
@@ -118,17 +121,13 @@ DENSITIES = {
 }
 
 
-def _arc_uniform(theta, lo, hi, param):
-    return np.ones_like(np.asarray(theta, dtype=float))
-
-
 def _arc_hann(theta, lo, hi, param):
     t = (np.asarray(theta, dtype=float) - lo) / (hi - lo)
     return 0.5 * (1.0 - np.cos(TWO_PI * t))
 
 
 ARC_DENSITIES = {
-    "uniform": _arc_uniform,
+    "uniform": lambda theta, lo, hi, param: _rho_uniform(theta, param),
     "hann": _arc_hann,
 }
 
@@ -286,12 +285,15 @@ class MomentTable:
         return len(self.c) - 1
 
     def get(self, k):
-        return complex(self.window(k, k)[0])
+        return complex(self.take(int(k)))
 
     def window(self, lo, hi):
-        """Array of c_k for k = lo..hi inclusive; MomentRangeExceeded names the
-        first index outside |k| <= K."""
-        ks = np.arange(int(lo), int(hi) + 1)
+        """Array of c_k for k = lo..hi inclusive."""
+        return self.take(np.arange(int(lo), int(hi) + 1))
+
+    def take(self, ks):
+        """c_k for each k of the integer array ks; the first (C order) outside |k| <= K raises."""
+        ks = np.asarray(ks)
         bad = ks[np.abs(ks) > self.K]
         if bad.size:
             raise MomentRangeExceeded(
@@ -424,63 +426,60 @@ def inner_product(m: MomentTable, f, g) -> complex:
     <z^j, z^k> = c_{j-k}; raises MomentRangeExceeded if the power spread of
     the pair exceeds the table.
     """
-    fc, flo = _laurent_parts(f)
-    gc, glo = _laurent_parts(g)
-    jf = flo + np.arange(len(fc))
-    jg = glo + np.arange(len(gc))
-    diff = jf[:, None] - jg[None, :]
-    # the window always holds c_0, which keeps empty factors (form 0) valid
-    lo = int(diff.min(initial=0))
-    cmat = m.window(lo, diff.max(initial=0))[diff - lo]
-    return complex(fc @ cmat @ np.conj(gc))
+    (fc, flo), (gc, glo) = _laurent_parts(f), _laurent_parts(g)
+    ks = np.subtract.outer(flo + np.arange(len(fc)), glo + np.arange(len(gc)))
+    return complex(fc @ m.take(ks) @ np.conj(gc))
 
 
 def _degenerate(n, what, **detail):
     return NotPositiveDefinite(f"moment form degenerates at degree {n}: {what}", n=n, **detail)
 
 
-def _gram_schmidt(phi, n_max: int, shift, gram, norm=None) -> np.ndarray:
-    """a_1..a_{n_max} by Gram-Schmidt of z Phi_n against Phi_0..Phi_n.
+def _gram_schmidt(phi, n_max: int, shift, inners, norm, dim=None, tol=np.inf) -> np.ndarray:
+    """a_1..a_{n_max} by classical Gram-Schmidt of z Phi_n against
+    Phi_0..Phi_n, one pass per entry of inners, a_{n+1} = -<z Phi_n, 1> / e_n.
 
-    phi is Phi_0 = 1 in the caller's vector space, shift(v) multiplies by z
-    and gram(v) is the vector whose plain dot product with conj(u) gives
-    <v, u>; norm(v) = <v, v> defaults to that product.  Each step is two
-    passes of classical Gram-Schmidt, which keeps z Phi_n orthogonal even
-    when e_n is tiny, and a_{n+1} = -<z Phi_n, 1> / e_n.  NotPositiveDefinite
-    reports the first degree at which e_n or |a| leaves its range.
+    phi is Phi_0 = 1 in a space of dimension dim (default phi.size), shift(v)
+    multiplies by z, inner(v, B) is the vector of <v, b> over the rows b of
+    B and norm(v) = <v, v>.  Growing (coefficient) vectors use their leading
+    v.size entries only, so degree n does not depend on n_max.  The first
+    degree n at which e_n or |a_n| leaves its range, or e_n departs from
+    e_{n-1} (1 - |a_n|^2) beyond tol, raises NotPositiveDefinite.
     """
-    norm = norm or (lambda v: float(np.vdot(v, gram(v)).real))
-    basis = np.empty((n_max, phi.size), dtype=complex)
-    e = np.empty(n_max)
-    out = np.empty(n_max, dtype=complex)
-    for n in range(n_max):
+    basis = np.zeros((n_max, dim or phi.size), dtype=complex)
+    e, out = np.empty(n_max + 1), np.empty(n_max, dtype=complex)
+    for n in range(n_max + 1):
         e[n] = norm(phi)
         if e[n] <= 0.0:
             raise _degenerate(n, f"e_{n} = {e[n]:.17g}")
-        basis[n] = phi
+        if n and abs(e[n] / (e[n - 1] * (1.0 - abs(out[n - 1]) ** 2)) - 1.0) > tol:
+            raise _degenerate(n, f"e_{n} = {e[n]:.17g} departs from e_{n - 1} (1 - |a_{n}|^2)")
+        if n == n_max:
+            return out
+        basis[n, : phi.size] = phi
         v = shift(phi)
+        B = basis[: n + 1, : v.size]
         ip = 0.0 + 0.0j
-        for _ in range(2):
-            g = np.conj(basis[: n + 1] @ np.conj(gram(v))) / e[: n + 1]
-            ip += g[0]
-            v = v - g @ basis[: n + 1]
+        for inner in inners:
+            p = inner(v, B)
+            ip += p[0]
+            v = v - (p / e[: n + 1]) @ B
         a = -ip / e[n]
         if abs(a) > SCHUR_GUARD:
             raise _degenerate(n + 1, f"|a_{n + 1}| = {abs(a):.17g}", magnitude=float(abs(a)))
         out[n] = a
         phi = v
-    return out
 
 
 def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     """The first n_max Schur coefficients of a moment table.
 
-    Gram-Schmidt on monomial coefficient vectors of degree <= n_max, with
-    the Toeplitz matrix of the moments as the Gram operator and
-    multiplication by z a shift of the coefficients.  Positive definiteness
-    of the moment form is detected through e_n > 0 and |a| staying strictly
-    inside the disk; NotPositiveDefinite reports the first degree at which
-    it fails.
+    Gram-Schmidt on monomial coefficient vectors, with the Toeplitz matrix
+    of the moments as the Gram operator and multiplication by z a shift;
+    degree n reads only c_{-n-1}..c_{n+1}, so every prefix is exact.
+    NotPositiveDefinite names the first degree that fails e_n > 0, |a_n| < 1
+    or e_n = e_{n-1} (1 - |a_n|^2) to RECURRENCE_TOL; the last catches a
+    form no longer positive definite in double precision.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -489,21 +488,25 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
         raise MomentRangeExceeded(
             f"extraction to degree {n_max} needs moments up to c_{n_max}", K=m.K
         )
-    # toeplitz[k, j] = c_{j - k} = <z^j, z^k>; Phi_n has degree n < n_max, so
-    # the roll is a shift
     k = np.arange(n_max + 1)
-    toeplitz = m.window(-n_max, n_max)[n_max + k[None, :] - k[:, None]]
-    phi, shift = (k == 0).astype(complex), lambda v: np.roll(v, 1)
-    return SchurSequence(_gram_schmidt(phi, n_max, shift, lambda v: toeplitz @ v))
+    toeplitz = m.take(k[None, :] - k[:, None])  # [k, j]: c_{j - k} = <z^j, z^k>
+    inner = lambda v, B: np.conj(B) @ (toeplitz[: v.size, : v.size] @ v)
+    norm = lambda v: float(inner(v, v[None, :])[0].real)
+    phi, shift = np.ones(1, dtype=complex), lambda v: np.append(0.0, v)
+    a = _gram_schmidt(phi, n_max, shift, (inner, inner), norm, n_max + 1, RECURRENCE_TOL)
+    return SchurSequence(a)
 
 
 def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     """Schur coefficients of a discrete measure by Gram-Schmidt on node
-    values, the inner products weighted sums over the nodes, so no Toeplitz
-    conditioning is paid; e_n is the weighted sum of |Phi_n|^2."""
+    values, so no Toeplitz conditioning is paid; e_n = weights @ |Phi_n|^2.
+    The first pass takes one matrix-vector product; the second, which fixes
+    a_{n+1}, one dot product per basis vector, which BLAS sums more exactly."""
     z = np.exp(1j * theta)
+    bulk = lambda v, B: np.conj(B @ np.conj(weights * v))
+    exact = lambda v, B: np.array([np.dot(weights, v * np.conj(b)) for b in B])
     norm = lambda v: float(weights @ np.abs(v) ** 2)
-    return _gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, lambda v: weights * v, norm)
+    return _gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, (bulk, exact), norm)
 
 
 def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:

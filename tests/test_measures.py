@@ -264,6 +264,18 @@ def test_inner_product_range_guard():
         inner_product(m, ComplexPolynomial.monomial(3), ComplexPolynomial([1.0]))
 
 
+def test_inner_product_range_guard_names_first_index_used():
+    # the first out-of-range power difference in row-major order, on both sides
+    m = MomentTable([1.0, 0.1, 0.2, 0.05])
+    one, big = ComplexPolynomial([1.0]), ComplexPolynomial([0, 0, 0, 0, 1.0, 1.0])
+    with pytest.raises(MomentRangeExceeded) as exc:
+        inner_product(m, one, big)
+    assert exc.value.detail == {"index": -4, "K": 3}
+    with pytest.raises(MomentRangeExceeded) as exc:
+        inner_product(m, big, one)
+    assert exc.value.detail == {"index": 4, "K": 3}
+
+
 # ---------------------------------------------------------------------------
 # Schur extraction
 
@@ -318,7 +330,48 @@ def test_schur_from_moments_two_atoms_degenerate_at_two():
     assert abs(s.a(1)) < 1e-14
 
 
-def test_schur_from_measure_matches_moment_form():
+def test_schur_from_moments_prefixes_are_exact():
+    # degree n reads only the leading block of the Toeplitz form, whatever n_max
+    m = moments(Density(name="one_minus_cos"), 48)
+    full = schur_from_moments(m, 48).coefficients
+    for n in (1, 8, 24, 47):
+        assert np.array_equal(schur_from_moments(m, n).coefficients, full[:n])
+
+
+def test_schur_from_moments_is_scale_free():
+    m = moments(Density(name="bernstein_szego", param=0.3 + 0.4j), 12)
+    a = schur_from_moments(m, 12).coefficients
+    b = schur_from_moments(MomentTable(2.5 * m.c), 12).coefficients
+    assert np.max(np.abs(a - b)) < 1e-14
+
+
+def test_schur_from_moments_refuses_spent_arc_form():
+    # from double moments the half circle's coefficients lose their digits
+    # geometrically with the degree, all of them by degree 22, while every
+    # |a_n| stays inside the disk; the Szego check on e_n stops the
+    # extraction at one degree for every n_max
+    m = moments(ArcDensity(name="uniform", arc=(0.0, np.pi)), 48)
+    degrees = set()
+    for n_max in (24, 48):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            schur_from_moments(m, n_max)
+        degrees.add(exc.value.detail["n"])
+    (n,) = degrees
+    assert 12 < n <= 22
+    s = schur_from_measure(ArcDensity(name="uniform", arc=(0.0, np.pi)), n - 1)
+    assert np.max(np.abs(schur_from_moments(m, n - 1).coefficients - s.coefficients)) < 1e-6
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear solve in the Schur extraction")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
+def test_schur_from_measure_matches_moment_form(no_solve):
+    # both routes run the one Gram-Schmidt recurrence: no linear solve
     two_arcs = Mixture(
         components=(
             (1.0, ArcDensity(name="uniform", arc=(0.5, 1.5))),
