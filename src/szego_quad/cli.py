@@ -17,7 +17,8 @@ from . import serialize
 from .errors import ConfigError, SzegoQuadError
 from .measures import (
     Lebesgue,
-    measure_to_dict,
+    finite_number,
+    json_integer,
     moments,
     parse_measure,
     schur_from_measure,
@@ -29,21 +30,21 @@ from .support import support_estimate
 
 TASKS = ("moments", "schur", "rule", "zeros", "interlace", "fsequence", "support", "validate")
 
-_REQUIRED = {
-    "moments": ("n",),
-    "schur": ("n_max",),
-    "rule": ("n",),
-    "zeros": ("n_max",),
-    "interlace": ("n_max",),
-    "fsequence": ("n_max",),
-    "support": ("n_max", "epsilon"),
+# The parameter contract: name -> (type, flag help, tasks that require it).
+# A help of None marks a config-only parameter; the flag order is the table's.
+PARAMS = {
+    "out": (str, "artifact output path (default: stdout)", ()),
+    "format": (str, "artifact format: csv or json", ()),
+    "n": (int, "primary degree parameter", ("moments", "rule")),
+    "n_max": (int, "largest degree", ("schur", "zeros", "interlace", "fsequence", "support")),
+    "n_min": (int, None, ()),
+    "anchor_angle": (float, "anchor angle in radians", ()),
+    "anchor_angles": (list, None, ()),
+    "omega0": (float, "window base angle in radians", ()),
+    "epsilon": (float, "dilation radius for support arcs", ("support",)),
+    "a1": (float, "first-kind weight in the family combination", ()),
+    "a2": (float, "second-kind weight in the family combination", ()),
 }
-
-_INT_PARAMS = {"n", "n_max", "n_min"}
-_FLOAT_PARAMS = {"anchor_angle", "omega0", "epsilon", "a1", "a2"}
-_LIST_PARAMS = {"anchor_angles"}
-_STR_PARAMS = {"format", "out"}
-_KNOWN_PARAMS = _INT_PARAMS | _FLOAT_PARAMS | _LIST_PARAMS | _STR_PARAMS
 
 
 def _build_parser():
@@ -58,15 +59,10 @@ def _build_parser():
         if task == "validate":
             continue
         p.add_argument("--measure", help="measure spec: JSON file path or inline JSON")
-        p.add_argument("--out", help="artifact output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        p.add_argument("--n", type=int, help="primary degree parameter")
-        p.add_argument("--n-max", dest="n_max", type=int, help="largest degree")
-        p.add_argument("--anchor-angle", dest="anchor_angle", type=float, help="anchor angle in radians")
-        p.add_argument("--omega0", type=float, help="window base angle in radians")
-        p.add_argument("--epsilon", type=float, help="dilation radius for support arcs")
-        p.add_argument("--a1", type=float, help="first-kind weight in the family combination")
-        p.add_argument("--a2", type=float, help="second-kind weight in the family combination")
+        for name, (kind, help_text, _) in PARAMS.items():
+            if help_text is not None:
+                flag = "--" + name.replace("_", "-")
+                p.add_argument(flag, dest=name, type=None if kind is str else kind, help=help_text)
     return parser
 
 
@@ -91,164 +87,124 @@ def _load_json(path):
     return _parse_json(text, path, path=path)
 
 
-def _config_diagnostics(obj, task=None):
-    """Schema problems of an experiment config, as field-qualified messages."""
+def _value_problem(name, val):
+    """What is wrong with one parameter value on its own, or None."""
+    kind = PARAMS[name][0]
+    if kind is int and not json_integer(val):
+        return "expected an integer"
+    if kind is int and val < 1:
+        return "must be at least 1"
+    if kind is float and not finite_number(val):
+        return "expected a finite number"
+    if name == "epsilon" and val <= 0:
+        return "must be positive"
+    if kind is list and not (isinstance(val, list) and val and all(map(finite_number, val))):
+        return "expected a nonempty list of finite angles"
+    if kind is str and not isinstance(val, str):
+        return "expected a string"
+    if name == "format" and val not in ("csv", "json"):
+        return "expected csv or json"
+    return None
+
+
+def _checked(cfg, task, flags):
+    """Merge a config with flag values and check the result against the contract.
+
+    The one check of ``validate`` and of every run, made before any numerics:
+    the config's shape, task and measure, then the name, type and value of
+    each merged parameter, the task's required ones, and the cross-parameter
+    ranges.  Raises ConfigError listing every problem; returns the parameters.
+    """
     problems = []
-    if not isinstance(obj, dict):
-        return ["config: expected a JSON object"]
-    declared = obj.get("task")
+    if not isinstance(cfg, dict):
+        problems.append("config: expected a JSON object")
+        cfg = {}
+    declared = cfg.get("task")
     if declared is not None:
         if declared not in TASKS or declared == "validate":
             problems.append(f"task: unknown task '{declared}'")
         elif task is not None and declared != task:
             problems.append(f"task: config declares '{declared}' but the subcommand is '{task}'")
-    effective = task or declared
-    if "measure" in obj:
+    task = task or declared
+    if task is None:
+        problems.append("task: not declared in the config and no task subcommand given")
+    if "measure" in cfg:
         try:
-            parse_measure(obj["measure"])
+            parse_measure(cfg["measure"])
         except ConfigError as err:
             problems.append(str(err))
-    params = obj.get("parameters", {})
+    params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         problems.append("parameters: expected a JSON object")
         params = {}
-    for key, val in params.items():
-        if key not in _KNOWN_PARAMS:
-            problems.append(f"parameters.{key}: unknown parameter")
-        elif key in _INT_PARAMS and not isinstance(val, int):
-            problems.append(f"parameters.{key}: expected an integer")
-        elif key in _FLOAT_PARAMS and not isinstance(val, (int, float)):
-            problems.append(f"parameters.{key}: expected a number")
-        elif key in _LIST_PARAMS and (
-            not isinstance(val, list) or not all(isinstance(v, (int, float)) for v in val)
-        ):
-            problems.append(f"parameters.{key}: expected a list of numbers")
-        elif key in _STR_PARAMS and not isinstance(val, str):
-            problems.append(f"parameters.{key}: expected a string")
-    if effective in _REQUIRED:
-        for req in _REQUIRED[effective]:
-            if req not in params:
-                problems.append(f"parameters.{req}: required by task '{effective}' and missing")
-    elif effective is None:
-        problems.append("task: not declared in the config and no subcommand given")
-    return problems
-
-
-def _resolve(args):
-    """Merge config file and flag overrides into (measure, params)."""
-    cfg = {}
-    if args.config:
-        cfg = _load_json(args.config)
-        problems = _config_diagnostics(cfg, args.task)
-        if problems:
-            raise ConfigError("; ".join(problems), diagnostics=problems)
-    params = dict(cfg.get("parameters", {}))
-    if getattr(args, "measure", None):
-        text = args.measure
-        obj = _parse_json(text, "--measure") if text.lstrip().startswith("{") else _load_json(text)
-        measure = parse_measure(obj)
-    elif "measure" in cfg:
-        measure = parse_measure(cfg["measure"])
-    else:
-        measure = Lebesgue()
-    for key in ("n", "n_max", "anchor_angle", "omega0", "epsilon", "a1", "a2", "out", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    _check_params(params)
-    return measure, params
-
-
-def _check_params(params):
-    """Finiteness and ranges of the merged parameters, wherever they came from."""
-    for key in sorted(_FLOAT_PARAMS & params.keys()):
-        if not np.isfinite(params[key]):
-            raise ConfigError(f"parameters.{key}: must be finite", field=key)
-    if "epsilon" in params and params["epsilon"] <= 0:
-        raise ConfigError("parameters.epsilon: must be positive", field="epsilon")
-    angles = params.get("anchor_angles")
-    if angles is not None and (not angles or not np.all(np.isfinite(angles))):
-        msg = "parameters.anchor_angles: expected a nonempty list of finite angles"
-        raise ConfigError(msg, field="anchor_angles")
-    n_min = params.get("n_min")
-    if n_min is not None and not 1 <= n_min <= params.get("n_max", n_min):
-        raise ConfigError("parameters.n_min: must lie in 1..n_max", field="n_min")
-
-
-def _require_int(params, key):
-    if key not in params:
-        raise ConfigError(f"parameters.{key}: required and missing", field=key)
-    val = params[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"parameters.{key}: expected an integer", field=key)
-    if val < 1:
-        raise ConfigError(f"parameters.{key}: must be at least 1", field=key)
-    return val
+    params = {**params, **flags}
+    ok = {}
+    for name, val in params.items():
+        problem = "unknown parameter" if name not in PARAMS else _value_problem(name, val)
+        if problem:
+            problems.append(f"parameters.{name}: {problem}")
+        else:
+            ok[name] = val
+    for name, (_, _, required_by) in PARAMS.items():
+        if task in required_by and name not in params:
+            problems.append(f"parameters.{name}: required by task '{task}' and missing")
+    # ranges across parameters, read from the values that passed on their own
+    n_max = ok.get("n_max")
+    if n_max is not None and ok.get("n_min", 1) > n_max:
+        problems.append("parameters.n_min: must lie in 1..n_max")
+    if task == "interlace" and n_max is not None and ok.get("n", 1) >= n_max:
+        problems.append("parameters.n: interlace needs 1 <= n < n_max")
+    if task == "fsequence" and n_max is not None and 1 < len(ok.get("anchor_angles", ())) < n_max:
+        problems.append("parameters.anchor_angles: fewer anchors than n_max")
+    if task in ("rule", "zeros", "interlace") and ok.get("a1", 1.0) == ok.get("a2", 0.0) == 0.0:
+        problems.append("parameters.a1, a2: combo coefficients must not both vanish")
+    if task == "support" and ok.get("format") == "csv":
+        problems.append("parameters.format: support emits a JSON report; csv is not available")
+    if problems:
+        raise ConfigError("; ".join(problems), diagnostics=problems)
+    return params
 
 
 def _family(params):
-    a1 = float(params.get("a1", 1.0))
-    a2 = float(params.get("a2", 0.0))
     w = np.exp(1j * float(params.get("anchor_angle", 0.0)))
-    omega0 = float(params.get("omega0", 0.0))
-    try:
-        return SofFamilySpec.combo(a1, a2, w, omega0)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    a1, a2 = float(params.get("a1", 1.0)), float(params.get("a2", 0.0))
+    return SofFamilySpec.combo(a1, a2, w, float(params.get("omega0", 0.0)))
 
 
-def _anchor_list(params):
-    if "anchor_angles" in params:
-        return [float(v) for v in params["anchor_angles"]]
-    return [float(params.get("anchor_angle", 0.0))]
+def _anchors(params):
+    angles = params.get("anchor_angles", [params.get("anchor_angle", 0.0)])
+    return [np.exp(1j * float(a)) for a in angles]
 
 
 def _pipeline(measure, n):
     return build_opuc(schur_from_measure(measure, n), n)
 
 
-def _run_moments(measure, params):
-    n = _require_int(params, "n")
-    table = moments(measure, n)
-    if params.get("format", "csv") == "json":
-        return serialize.moments_json(table)
-    return serialize.moments_csv(table)
+def _moments(measure, params):
+    return moments(measure, params["n"])
 
 
-def _run_schur(measure, params):
-    n_max = _require_int(params, "n_max")
-    seq = schur_from_measure(measure, n_max)
-    if params.get("format", "csv") == "json":
-        return serialize.schur_json(seq)
-    return serialize.schur_csv(seq)
+def _schur(measure, params):
+    return schur_from_measure(measure, params["n_max"])
 
 
-def _run_rule(measure, params):
-    n = _require_int(params, "n")
+def _rule(measure, params):
+    n = params["n"]
     table = _pipeline(measure, n)
     inst = sof_combo(table, _family(params), n)
     # moments on the grid the Schur coefficients were extracted from
-    rule = rule_from_sof(table, moments(measure, 2 * n + 2), inst)
-    if params.get("format", "csv") == "json":
-        return serialize.rule_json(rule)
-    return serialize.rule_csv(rule)
+    return rule_from_sof(table, moments(measure, 2 * n + 2), inst)
 
 
-def _run_zeros(measure, params):
-    n_max = _require_int(params, "n_max")
+def _zeros(measure, params):
+    n_max = params["n_max"]
     table = _pipeline(measure, n_max)
     family = _family(params)
-    entries = [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
-    if params.get("format", "csv") == "json":
-        return serialize.zero_rows_json(entries)
-    return serialize.zero_rows_csv(entries)
+    return [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
 
 
-def _run_interlace(measure, params):
-    n_max = _require_int(params, "n_max")
-    n_lo = int(params.get("n", 1))
-    if n_lo < 1 or n_lo >= n_max:
-        raise ConfigError("parameters.n: interlace needs 1 <= n < n_max", field="n")
+def _interlace(measure, params):
+    n_lo, n_max = params.get("n", 1), params["n_max"]
     table = _pipeline(measure, n_max)
     family = _family(params)
     anchored = float(params.get("a2", 0.0)) == 0.0
@@ -262,63 +218,32 @@ def _run_interlace(measure, params):
             exclude_anchor=family.anchor_angle if anchored else None,
         )
         results.append((n, n + 1, res.ok, res.witness))
-    if params.get("format", "csv") == "json":
-        return serialize.interlace_json(results)
-    return serialize.interlace_csv(results)
+    return results
 
 
-def _run_fsequence(measure, params):
-    n_max = _require_int(params, "n_max")
-    anchors = [np.exp(1j * a) for a in _anchor_list(params)]
-    if len(anchors) == 1:
-        anchors = anchors * n_max
-    if len(anchors) < n_max:
-        raise ConfigError("parameters.anchor_angles: fewer anchors than n_max")
+def _fsequence(measure, params):
+    n_max = params["n_max"]
     table = _pipeline(measure, n_max)
-    omega0 = float(params.get("omega0", 0.0))
-    seq = f_sequence(table, anchors, n_max, omega0)
-    entries = [(inst.index, inst.zeros) for inst in seq]
-    if params.get("format", "csv") == "json":
-        return serialize.zero_rows_json(entries)
-    return serialize.zero_rows_csv(entries)
+    seq = f_sequence(table, _anchors(params), n_max, float(params.get("omega0", 0.0)))
+    return [(inst.index, inst.zeros) for inst in seq]
 
 
-def _run_support(measure, params):
-    n_max = _require_int(params, "n_max")
-    if "epsilon" not in params:
-        raise ConfigError("parameters.epsilon: required and missing", field="epsilon")
-    epsilon = float(params["epsilon"])
-    if params.get("format", "json") == "csv":
-        raise ConfigError("support emits a JSON report; csv is not available for this task")
-    anchors = [np.exp(1j * a) for a in _anchor_list(params)]
-    n_min = params.get("n_min")
-    est = support_estimate(measure, anchors, n_max, epsilon, n_min=n_min)
-    return serialize.support_json(est)
+def _support(measure, params):
+    n_max, epsilon = params["n_max"], float(params["epsilon"])
+    return support_estimate(measure, _anchors(params), n_max, epsilon, n_min=params.get("n_min"))
 
 
+# task -> (compute, serializer stem): the artifact is serialize.<stem>_<format>,
+# looked up on the module when the run writes it
 _RUNNERS = {
-    "moments": _run_moments,
-    "schur": _run_schur,
-    "rule": _run_rule,
-    "zeros": _run_zeros,
-    "interlace": _run_interlace,
-    "fsequence": _run_fsequence,
-    "support": _run_support,
+    "moments": (_moments, "moments"),
+    "schur": (_schur, "schur"),
+    "rule": (_rule, "rule"),
+    "zeros": (_zeros, "zero_rows"),
+    "interlace": (_interlace, "interlace"),
+    "fsequence": (_fsequence, "zero_rows"),
+    "support": (_support, "support"),
 }
-
-
-def _run_validate(args):
-    if not args.config:
-        raise ConfigError("validate requires --config")
-    cfg = _load_json(args.config)
-    problems = _config_diagnostics(cfg, None)
-    if isinstance(cfg, dict) and "task" not in cfg:
-        problems.insert(0, "task: required for validate and missing")
-    if problems:
-        raise ConfigError("; ".join(problems), diagnostics=problems)
-    _check_params(cfg.get("parameters", {}))
-    sys.stdout.write("ok\n")
-    return 0
 
 
 def _emit_error(err: SzegoQuadError):
@@ -333,20 +258,36 @@ def _emit_error(err: SzegoQuadError):
     sys.stderr.write(serialize.json_text(payload))
 
 
+def _run(args):
+    cfg = _load_json(args.config) if args.config else {}
+    if args.task == "validate":
+        if not args.config:
+            raise ConfigError("validate requires --config")
+        _checked(cfg, None, {})
+        sys.stdout.write("ok\n")
+        return
+    flags = {name: getattr(args, name) for name in PARAMS if getattr(args, name, None) is not None}
+    params = _checked(cfg, args.task, flags)
+    if args.measure:
+        text = args.measure
+        obj = _parse_json(text, "--measure") if text.lstrip().startswith("{") else _load_json(text)
+        measure = parse_measure(obj)
+    else:
+        measure = parse_measure(cfg["measure"]) if "measure" in cfg else Lebesgue()
+    compute, stem = _RUNNERS[args.task]
+    fmt = params.get("format", "json" if args.task == "support" else "csv")
+    text = getattr(serialize, f"{stem}_{fmt}")(compute(measure, params))
+    if params.get("out"):
+        with open(params["out"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.task == "validate":
-            return _run_validate(args)
-        measure, params = _resolve(args)
-        text = _RUNNERS[args.task](measure, params)
-        out = params.get("out")
-        if out:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _run(args)
         return 0
     except ConfigError as err:
         _emit_error(err)

@@ -12,6 +12,7 @@ are normalized to unit total mass, so c_0 = 1 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -143,6 +144,16 @@ def _lookup(kind, name, catalog):
 # JSON round trip
 
 
+def json_integer(v) -> bool:
+    """A JSON integer: an int that is not a boolean (json reads true as True)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def finite_number(v) -> bool:
+    """A finite JSON number: an integer, or a float that is neither NaN nor infinite."""
+    return json_integer(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 def parse_measure(obj) -> MeasureSpec:
     """Build a MeasureSpec from its JSON object form.
 
@@ -160,14 +171,14 @@ def parse_measure(obj) -> MeasureSpec:
             raise ConfigError("measure.name: density name must be a string")
         _lookup("density", name, DENSITIES)
         param = obj.get("param")
-        if param is not None and not isinstance(param, (int, float, list)):
-            raise ConfigError("measure.param: must be a number or [re, im] pair")
+        if param is not None and not (finite_number(param) or isinstance(param, list)):
+            raise ConfigError("measure.param: must be a finite number or [re, im] pair")
         if isinstance(param, list):
-            if len(param) != 2:
-                raise ConfigError("measure.param: [re, im] pair expected")
+            if len(param) != 2 or not all(finite_number(v) for v in param):
+                raise ConfigError("measure.param: [re, im] pair of finite numbers expected")
             param = complex(param[0], param[1])
         grid = obj.get("grid")
-        if grid is not None and (not isinstance(grid, int) or grid <= 0):
+        if grid is not None and (not json_integer(grid) or grid <= 0):
             raise ConfigError("measure.grid: must be a positive integer")
         if name == "bernstein_szego":
             if param is None:
@@ -184,14 +195,14 @@ def parse_measure(obj) -> MeasureSpec:
         if (
             not isinstance(arc, (list, tuple))
             or len(arc) != 2
-            or not all(isinstance(v, (int, float)) for v in arc)
+            or not all(finite_number(v) for v in arc)
         ):
-            raise ConfigError("measure.arc: expected [lo, hi] in radians")
+            raise ConfigError("measure.arc: expected [lo, hi] in radians, finite numbers")
         lo, hi = float(arc[0]), float(arc[1])
         if not lo < hi or hi - lo > TWO_PI + 1e-12:
             raise ConfigError("measure.arc: need lo < hi and hi - lo <= 2*pi")
         panels = obj.get("panels")
-        if panels is not None and (not isinstance(panels, int) or panels <= 0):
+        if panels is not None and (not json_integer(panels) or panels <= 0):
             raise ConfigError("measure.panels: must be a positive integer")
         return ArcDensity(name=name, arc=(lo, hi), param=obj.get("param"), panels=panels)
     if variant == "atomic":
@@ -203,9 +214,9 @@ def parse_measure(obj) -> MeasureSpec:
             if (
                 not isinstance(atom, (list, tuple))
                 or len(atom) != 2
-                or not all(isinstance(v, (int, float)) for v in atom)
+                or not all(finite_number(v) for v in atom)
             ):
-                raise ConfigError(f"measure.atoms[{i}]: expected [angle, weight]")
+                raise ConfigError(f"measure.atoms[{i}]: expected [angle, weight], finite numbers")
             angle, weight = float(atom[0]), float(atom[1])
             if weight <= 0:
                 raise ConfigError(f"measure.atoms[{i}]: weight must be strictly positive")
@@ -225,8 +236,10 @@ def parse_measure(obj) -> MeasureSpec:
                     f"measure.components[{i}]: expected an object with 'weight' and 'measure'"
                 )
             weight = comp["weight"]
-            if not isinstance(weight, (int, float)) or weight <= 0:
-                raise ConfigError(f"measure.components[{i}].weight: must be strictly positive")
+            if not finite_number(weight) or weight <= 0:
+                raise ConfigError(
+                    f"measure.components[{i}].weight: must be a finite, strictly positive number"
+                )
             parsed.append((float(weight), parse_measure(comp["measure"])))
         return Mixture(components=tuple(parsed))
     raise ConfigError(
@@ -555,7 +568,7 @@ def christoffel_moments(m: MomentTable, w) -> MomentTable:
     at each end.
     """
     w = complex(w)
-    if abs(abs(w) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(w) - 1.0) <= CIRCLE_TOL:
         raise OffCircle(f"modification point off the circle: |w| = {abs(w):.17g}")
     if m.K < 1:
         raise MomentRangeExceeded("need at least c_1 to modify", K=m.K)
@@ -581,7 +594,7 @@ def christoffel_modify(table: OpucTable, w, n_max: int) -> list[ComplexPolynomia
     must be exact, and a large remainder signals an inconsistent table.
     """
     w = complex(w)
-    if abs(abs(w) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(w) - 1.0) <= CIRCLE_TOL:
         raise OffCircle(f"modification point off the circle: |w| = {abs(w):.17g}")
     n_max = int(n_max)
     if n_max + 1 > table.order:

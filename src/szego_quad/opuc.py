@@ -39,7 +39,7 @@ class SchurSequence:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
         mags = np.abs(c)
-        bad = mags > SCHUR_GUARD
+        bad = ~(mags <= SCHUR_GUARD)  # NaN fails the guard too
         if bad.any():
             n_bad = int(np.argmax(bad)) + 1
             raise SchurOutOfDisk(
@@ -130,8 +130,9 @@ def second_kind(schur: SchurSequence, n_max: int) -> list[ComplexPolynomial]:
 
 
 def _check_on_circle(z):
-    if np.any(np.abs(np.abs(z) - 1.0) > CIRCLE_TOL):
-        worst = float(np.max(np.abs(np.abs(z) - 1.0)))
+    deviation = np.abs(np.abs(z) - 1.0)
+    if not np.all(deviation <= CIRCLE_TOL):
+        worst = float(np.max(deviation))
         raise OffCircle(f"point off the unit circle by {worst:.3e}", deviation=worst)
 
 

@@ -52,9 +52,9 @@ def make_pop(table: OpucTable, n: int, alpha, beta) -> InvariantPop:
     alpha = complex(alpha)
     beta = complex(beta)
     scale = max(abs(alpha), abs(beta))
-    if scale == 0.0:
-        raise ModulusMismatch("alpha and beta must be nonzero")
-    if abs(abs(alpha) - abs(beta)) > 1e-12 * scale:
+    if not 0.0 < scale < np.inf:
+        raise ModulusMismatch("alpha and beta must be nonzero and finite")
+    if not abs(abs(alpha) - abs(beta)) <= 1e-12 * scale:
         raise ModulusMismatch(
             f"|alpha| = {abs(alpha):.17g} and |beta| = {abs(beta):.17g} differ",
             alpha=abs(alpha),

@@ -46,7 +46,7 @@ _ANCHOR_TOL = 1e-9
 def _canonical_anchor(w, omega0):
     """Fold the anchor onto the circle and the window; returns (w, angle)."""
     w = complex(w)
-    if abs(abs(w) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(w) - 1.0) <= CIRCLE_TOL:
         raise OffCircle(f"anchor off the unit circle: |w| = {abs(w):.17g}")
     angle = fold_angle(float(np.angle(w)), omega0)
     return np.exp(1j * angle), angle

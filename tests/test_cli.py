@@ -1,12 +1,17 @@
 """Command line front end: artifacts, determinism, error contract."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from szego_quad.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+NAN_ATOM = '{"variant": "atomic", "atoms": [[0.0, NaN], [1.0, 1.0]]}'
 TWO_ATOM = '{"variant": "atomic", "atoms": [[0.0, 0.5], [3.141592653589793, 0.5]]}'
 ARC_MEASURE = '{"variant": "arc_density", "name": "uniform", "arc": [1.5707963267948966, 4.71238898038469]}'
 
@@ -294,6 +299,8 @@ def test_support_rejects_csv(capsys):
         (["validate"], {"n_max": 8, "epsilon": 0.3, "n_min": 0}),
         (["support"], {"n_max": 8, "epsilon": 0.3, "anchor_angles": []}),
         (["fsequence"], {"n_max": 3, "anchor_angles": [0.5, float("nan")]}),
+        (["moments", "--n", "2", "--measure", NAN_ATOM], None),
+        (["rule", "--n", "4", "--format", "xml"], None),
     ],
 )
 def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
@@ -309,6 +316,44 @@ def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"task": "rule", "parameters": {"n": 0}},
+        {"task": "interlace", "parameters": {"n_max": 4, "n": 9}},
+        {"task": "fsequence", "parameters": {"n_max": 4, "anchor_angles": [0.1, 0.2]}},
+        {"task": "support", "parameters": {"n_max": 8, "epsilon": 0.2, "format": "csv"}},
+        {"task": "rule", "parameters": {"n": True}},
+        {"task": "rule", "parameters": {"n": 4, "format": "xml"}},
+        {"task": "rule", "parameters": {"n": 4, "anchor_angle": True}},
+        {"task": "support", "parameters": {"n_max": 8, "epsilon": 0.3, "n_min": True}},
+        {"task": "rule", "parameters": {"n": 3, "a1": 0, "a2": 0}},
+    ],
+)
+def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
+    # validate applies exactly the run's checks: same exit code, same first diagnostic
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    firsts = []
+    for argv in (["validate", "--config", str(cfg)], [config["task"], "--config", str(cfg)]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError"
+        firsts.append(doc["diagnostics"][0])
+    assert firsts[0] == firsts[1]
+
+
+def test_flag_supplies_parameter_missing_from_config(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"task": "rule", "parameters": {}}))
+    rc, out, err = run(capsys, ["rule", "--config", str(cfg), "--n", "4"])
+    assert rc == 0
+    assert err == ""
+    assert len(out.strip().split("\n")) == 5
+
+
 def test_config_file_missing_exits_2(capsys, tmp_path):
     rc, _, err = run(capsys, ["rule", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -322,3 +367,36 @@ def test_config_invalid_json_reports_position(capsys, tmp_path):
     assert rc == 2
     doc = json.loads(err)
     assert doc["line"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the README's command line examples
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_run(capsys):
+    section = _readme_section("Command line")
+    block = re.search(r"```\n(szego-quad .*?)```", section, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 3
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "szego-quad"
+        rc, out, err = run(capsys, argv[1:])
+        assert (rc, err) == (0, ""), line
+        assert out
+
+
+def test_readme_example_config_runs(capsys, tmp_path):
+    section = _readme_section("Command line")
+    config = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, ["validate", "--config", str(cfg)])[:2] == (0, "ok\n")
+    rc, out, err = run(capsys, [config["task"], "--config", str(cfg)])
+    assert (rc, err) == (0, "")
+    assert out

@@ -1,6 +1,7 @@
 """Measure declarations, moments, Schur extraction, Christoffel modification."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -96,12 +97,17 @@ def test_parse_field_diagnostics():
         ({"variant": "density", "name": 7}, "measure.name"),
         ({"variant": "density", "name": "uniform", "param": "x"}, "measure.param"),
         ({"variant": "density", "name": "uniform", "grid": -4}, "measure.grid"),
+        ({"variant": "density", "name": "uniform", "grid": True}, "measure.grid"),
         ({"variant": "density", "name": "bernstein_szego"}, "measure.param"),
         ({"variant": "density", "name": "bernstein_szego", "param": 1.0}, "measure.param"),
         ({"variant": "arc_density", "name": "uniform", "arc": [2.0, 1.0]}, "measure.arc"),
         ({"variant": "arc_density", "name": "uniform", "arc": [0.0]}, "measure.arc"),
         (
             {"variant": "arc_density", "name": "uniform", "arc": [0.0, 1.0], "panels": 0},
+            "measure.panels",
+        ),
+        (
+            {"variant": "arc_density", "name": "uniform", "arc": [0.0, 1.0], "panels": True},
             "measure.panels",
         ),
         ({"variant": "atomic", "atoms": []}, "measure.atoms"),
@@ -122,6 +128,33 @@ def test_parse_field_diagnostics():
         with pytest.raises(ConfigError) as exc:
             parse_measure(obj)
         assert field in str(exc.value), obj
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: {"variant": "atomic", "atoms": [[v, 0.5], [1.0, 0.5]]}, "measure.atoms[0]"),
+        (lambda v: {"variant": "atomic", "atoms": [[0.0, 0.5], [1.0, v]]}, "measure.atoms[1]"),
+        (
+            lambda v: {
+                "variant": "mixture",
+                "components": [{"weight": v, "measure": {"variant": "lebesgue"}}],
+            },
+            "measure.components[0].weight",
+        ),
+        (lambda v: {"variant": "density", "name": "bernstein_szego", "param": v}, "measure.param"),
+        (lambda v: {"variant": "density", "name": "bernstein_szego", "param": [0.1, v]},
+         "measure.param"),
+        (lambda v: {"variant": "arc_density", "name": "uniform", "arc": [v, 2.0]}, "measure.arc"),
+    ],
+)
+def test_parse_rejects_non_finite_and_boolean_numbers(build, field, bad):
+    # json.loads reads NaN and Infinity, and a JSON true is a Python int
+    obj = json.loads(json.dumps(build(bad)))
+    with pytest.raises(ConfigError) as exc:
+        parse_measure(obj)
+    assert field in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@ import pytest
 
 from szego_quad import (
     ComplexPolynomial,
+    ModulusMismatch,
     NearDiagonal,
     OffCircle,
     SchurOutOfDisk,
     SchurSequence,
     build_opuc,
+    christoffel_modify,
+    christoffel_moments,
     inner_product,
     kernel_diag,
     kernel_eval,
     kernel_polynomial,
+    make_pop,
     moments_from_schur,
     reverse,
     second_kind,
+    sof_f1,
 )
 from szego_quad.opuc import cmv_matrix, szego_values
 from szego_quad.poly import LaurentPolynomial
@@ -154,6 +159,27 @@ def test_kernel_diag_off_circle():
     t = build_opuc(SchurSequence.zeros(2), 2)
     with pytest.raises(OffCircle):
         kernel_diag(t, 1, 1.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda t, v: SchurSequence([0.1, v]), SchurOutOfDisk),
+        (lambda t, v: kernel_diag(t, 2, v), OffCircle),
+        (lambda t, v: kernel_diag(t, 2, np.array([1.0, v])), OffCircle),
+        (lambda t, v: sof_f1(t, 3, v), OffCircle),
+        (lambda t, v: make_pop(t, 3, v, 1.0), ModulusMismatch),
+        (lambda t, v: make_pop(t, 3, 1.0, v), ModulusMismatch),
+        (lambda t, v: christoffel_moments(moments_from_schur(t.schur, 4), v), OffCircle),
+        (lambda t, v: christoffel_modify(t, v, 2), OffCircle),
+    ],
+)
+def test_range_guards_reject_non_finite(call, error, bad):
+    # a guard written as `x > tol` is false for NaN and lets it through
+    t = build_opuc(SchurSequence([0.3, -0.2, 0.1, 0.05]), 4)
+    with pytest.raises(error):
+        call(t, bad)
 
 
 def test_kernel_degree_range():
