@@ -70,6 +70,7 @@ from .sof import (
     sof_combo,
     sof_f1,
     sof_f2,
+    sof_members,
     sturm_sign_probe,
 )
 from .support import (

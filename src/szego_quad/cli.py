@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .measures import (
 )
 from .opuc import build_opuc
 from .quadrature import rule_from_sof
-from .sof import SofFamilySpec, f_sequence, interlace_check, sof_combo
+from .sof import SofFamilySpec, f_sequence, interlace_check, sof_combo, sof_members
 from .support import support_estimate
 
 TASKS = ("moments", "schur", "rule", "zeros", "interlace", "fsequence", "support", "validate")
@@ -85,6 +86,24 @@ def _load_json(path):
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", path=path) from None
     return _parse_json(text, path, path=path)
+
+
+def _open_out(path, mode):
+    """Open the artifact file; an OSError becomes a ConfigError naming parameters.out."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="\n")
+    except OSError as err:
+        message = f"parameters.out: cannot open '{path}' for writing: {err.strerror or err}"
+        raise ConfigError(message, path=path) from None
+
+
+def _probe_out(path):
+    """Fail before any numerics when the artifact file cannot be opened; a file
+    the probe creates is removed again, so a failed run leaves none behind."""
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _value_problem(name, val):
@@ -199,8 +218,8 @@ def _rule(measure, params):
 def _zeros(measure, params):
     n_max = params["n_max"]
     table = _pipeline(measure, n_max)
-    family = _family(params)
-    return [(n, sof_combo(table, family, n).zeros) for n in range(1, n_max + 1)]
+    members = sof_members(table, _family(params), range(1, n_max + 1))
+    return [(inst.n, inst.zeros) for inst in members]
 
 
 def _interlace(measure, params):
@@ -208,7 +227,8 @@ def _interlace(measure, params):
     table = _pipeline(measure, n_max)
     family = _family(params)
     anchored = float(params.get("a2", 0.0)) == 0.0
-    insts = {n: sof_combo(table, family, n) for n in range(n_lo, n_max + 1)}
+    degrees = range(n_lo, n_max + 1)
+    insts = dict(zip(degrees, sof_members(table, family, degrees)))
     results = []
     for n in range(n_lo, n_max):
         res = interlace_check(
@@ -274,11 +294,14 @@ def _run(args):
         measure = parse_measure(obj)
     else:
         measure = parse_measure(cfg["measure"]) if "measure" in cfg else Lebesgue()
+    out = params.get("out")
+    if out:
+        _probe_out(out)
     compute, stem = _RUNNERS[args.task]
     fmt = params.get("format", "json" if args.task == "support" else "csv")
     text = getattr(serialize, f"{stem}_{fmt}")(compute(measure, params))
-    if params.get("out"):
-        with open(params["out"], "w", encoding="utf-8", newline="\n") as fh:
+    if out:
+        with _open_out(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -154,6 +155,16 @@ def finite_number(v) -> bool:
     return json_integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
+def _checked_param(obj):
+    """measure.param as given: null, a finite number or an [re, im] pair of finite numbers."""
+    param = obj.get("param")
+    if param is not None and not (finite_number(param) or isinstance(param, list)):
+        raise ConfigError("measure.param: must be a finite number or [re, im] pair")
+    if isinstance(param, list) and (len(param) != 2 or not all(finite_number(v) for v in param)):
+        raise ConfigError("measure.param: [re, im] pair of finite numbers expected")
+    return param
+
+
 def parse_measure(obj) -> MeasureSpec:
     """Build a MeasureSpec from its JSON object form.
 
@@ -170,12 +181,8 @@ def parse_measure(obj) -> MeasureSpec:
         if not isinstance(name, str):
             raise ConfigError("measure.name: density name must be a string")
         _lookup("density", name, DENSITIES)
-        param = obj.get("param")
-        if param is not None and not (finite_number(param) or isinstance(param, list)):
-            raise ConfigError("measure.param: must be a finite number or [re, im] pair")
+        param = _checked_param(obj)
         if isinstance(param, list):
-            if len(param) != 2 or not all(finite_number(v) for v in param):
-                raise ConfigError("measure.param: [re, im] pair of finite numbers expected")
             param = complex(param[0], param[1])
         grid = obj.get("grid")
         if grid is not None and (not json_integer(grid) or grid <= 0):
@@ -204,7 +211,7 @@ def parse_measure(obj) -> MeasureSpec:
         panels = obj.get("panels")
         if panels is not None and (not json_integer(panels) or panels <= 0):
             raise ConfigError("measure.panels: must be a positive integer")
-        return ArcDensity(name=name, arc=(lo, hi), param=obj.get("param"), panels=panels)
+        return ArcDensity(name=name, arc=(lo, hi), param=_checked_param(obj), panels=panels)
     if variant == "atomic":
         atoms = obj.get("atoms")
         if not isinstance(atoms, (list, tuple)) or not atoms:
@@ -322,9 +329,18 @@ class MomentTable:
 # discretization
 
 
+@cache
+def _gl_rule():
+    """The _GL_POINTS-point Gauss-Legendre rule on [-1, 1], computed once, read-only."""
+    rule = np.polynomial.legendre.leggauss(_GL_POINTS)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _gl_panels(lo, hi, P):
     """Nodes and weights of P equal Gauss-Legendre panels covering [lo, hi]."""
-    x, wq = np.polynomial.legendre.leggauss(_GL_POINTS)
+    x, wq = _gl_rule()
     edges = np.linspace(lo, hi, P + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -514,10 +530,22 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     """Schur coefficients of a discrete measure by Gram-Schmidt on node
     values, so no Toeplitz conditioning is paid; e_n = weights @ |Phi_n|^2.
     The first pass takes one matrix-vector product; the second, which fixes
-    a_{n+1}, one dot product per basis vector, which BLAS sums more exactly."""
+    a_{n+1}, one dot product per basis vector, which BLAS sums more exactly.
+    That pass forms <v, b> = sum w v conj(b) as conj(sum w conj(v) b), with
+    the complex weights and conj(v) taken once: conj(v) b is the exact
+    conjugate of v conj(b) term by term (the imaginary part is ad - bc against
+    bc - ad), and zdotu sums the negated imaginary parts to the exact
+    negation of the same sum, so every a_n is bit-identical to the direct
+    form while one product per basis vector is saved.  The products stay one
+    row at a time: v conj(B) at once costs an (n + 1) x M temporary."""
     z = np.exp(1j * theta)
+    wc = weights.astype(complex)
     bulk = lambda v, B: np.conj(B @ np.conj(weights * v))
-    exact = lambda v, B: np.array([np.dot(weights, v * np.conj(b)) for b in B])
+
+    def exact(v, B):
+        cv = np.conj(v)
+        return np.conj(np.array([np.dot(wc, cv * b) for b in B]))
+
     norm = lambda v: float(weights @ np.abs(v) ** 2)
     return _gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, (bulk, exact), norm)
 

@@ -9,8 +9,10 @@ disk) and the star denotes the conjugate-reversed polynomial of declared
 degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
 the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
 conj(Phi_k(y)) / e_k.  Values, kernel diagonals and off-diagonal kernel values
-come from the normalized recurrence (szego_values), zeros and moments from the
-CMV matrix (cmv_matrix).  A table holds only the Schur parameters and the
+come from the normalized recurrence, zeros and moments from the CMV matrix
+(cmv_matrix).  szego_sweep yields every degree of one recurrence run and
+szego_values is its last step, so a family anchored at w takes all its
+degrees from one sweep at w.  A table holds only the Schur parameters and the
 norms; its monic Phi_n and Phi_n* are built on first read, for output and
 test oracles.
 """
@@ -124,7 +126,7 @@ def second_kind(schur: SchurSequence, n_max: int) -> list[ComplexPolynomial]:
 
     which the second-kind semi-orthogonal functions rely on.  This monic
     table is for output and test oracles; sof takes Omega_n(w) from
-    szego_values on the same sign-flipped sequence.
+    szego_sweep on the same sign-flipped sequence.
     """
     return list(build_opuc(SchurSequence(-schur.coefficients[:n_max]), n_max).phi)
 
@@ -136,19 +138,28 @@ def _check_on_circle(z):
         raise OffCircle(f"point off the unit circle by {worst:.3e}", deviation=worst)
 
 
-def szego_values(schur: SchurSequence, n: int, z):
-    """phi_n(z) = Phi_n(z) / sqrt(e_n), phi_n*(z) and sum_{k<=n} |phi_k(z)|^2 (K_n(z, z) on
-    the circle), shaped like z, by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} and
-    phi_{k+1}* = (phi_k* + conj(a_{k+1}) z phi_k) / rho_{k+1}, rho = sqrt(1 - |a|^2)."""
+def szego_sweep(schur: SchurSequence, n: int, z):
+    """Yield (phi_k(z), phi_k*(z), sum_{j<=k} |phi_j(z)|^2) for k = 0..n, shaped like z,
+    by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} and phi_{k+1}* = (phi_k* +
+    conj(a_{k+1}) z phi_k) / rho_{k+1}, rho = sqrt(1 - |a|^2); phi_k = Phi_k / sqrt(e_k),
+    and the sum is K_k(z, z) on the circle.  One sweep serves every degree up to n."""
     z = np.asarray(z, dtype=complex)
     p = s = np.ones(z.shape, dtype=complex)
     acc = np.ones(z.shape, dtype=float)
+    yield p, s, acc
     for a in schur.coefficients[:n]:
         rho = np.sqrt(1.0 - abs(a) ** 2)
         zp = z * p
         p, s = (zp + a * s) / rho, (s + np.conj(a) * zp) / rho
-        acc += np.abs(p) ** 2
-    return p, s, acc
+        acc = acc + np.abs(p) ** 2
+        yield p, s, acc
+
+
+def szego_values(schur: SchurSequence, n: int, z):
+    """phi_n(z), phi_n*(z) and K_n(z, z): the last step of szego_sweep."""
+    for step in szego_sweep(schur, n, z):
+        pass
+    return step
 
 
 def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:

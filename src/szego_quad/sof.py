@@ -17,15 +17,18 @@ Omega_n(w)) with m = n + k for polynomial coefficients A, B satisfying the
 reversal symmetries A*(k) = A and B*(k) = -B.  Half powers are always
 realized as exp(i m theta / 2) on angles folded into the working window, so
 both sides of every identity use the same branch.  Every member goes through
-the one coefficient formula in sof_combo: Phi_n(w) and Omega_n(w) both come
-from the normalized recurrence (Omega_n is Phi_n of the sign-flipped Schur
-sequence), not from a monic table, and the zeros are CMV eigenvalues
-(invariant_zeros).  Values use the same recurrence, phi_n = Phi_n / sqrt(e_n):
-f_n = 2 sqrt(e_n) Im u with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2},
-and at a zero the Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z)
-/ |phi_n(z)|^2; N_n (SofInstance.numerator) is formed from alpha and the
-table's monic Phi_n only when output or a test oracle reads it.  The omegas
-arguments of sof_f2, sof_combo and zero_cloud are accepted and not read.
+the one coefficient formula in sof_members, which builds a family's members
+for a list of degrees from one szego_sweep at the anchor (and one on the
+sign-flipped sequence when a second-kind part is present): Phi_n(w) and
+Omega_n(w) both come from the normalized recurrence (Omega_n is Phi_n of the
+sign-flipped Schur sequence), not from a monic table, and the zeros are CMV
+eigenvalues (invariant_zeros).  sof_combo is its one-degree call.  Values
+use the same recurrence, phi_n = Phi_n / sqrt(e_n): f_n = 2 sqrt(e_n) Im u
+with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2}, and at a zero the
+Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z) / |phi_n(z)|^2;
+N_n (SofInstance.numerator) is formed from alpha and the table's monic Phi_n
+only when output or a test oracle reads it.  The omegas arguments of sof_f2,
+sof_combo and zero_cloud are accepted and not read.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
 from .errors import OffCircle, PhaseLeak, ZeroCoefficient
-from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, szego_values
+from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, szego_sweep, szego_values
 from .poly import ComplexPolynomial
 from .quadrature import invariant_zeros
 
@@ -183,61 +186,82 @@ def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
 
 
 def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
-    """Member of the declared family at degree n; the one path for every mode.
+    """Member of the declared family at degree n: sof_members at the one degree n.
+    omegas is not read."""
+    return sof_members(table, spec, (n,))[0]
+
+
+def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInstance]:
+    """Members of the declared family at each of the given degrees, in that order;
+    the one path for every mode.
 
     alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with (A, B) = (1, 0) for
     f1, (0, -i) for f2, (a1, -i a2) for combo (a1 * first kind + a2 * second
     kind) and (A(w), B(w)) with m = n + k for polyseq; m = n otherwise.
     Phi_n(w) and Omega_n(w) are sqrt(e_n) times the normalized recurrence on
-    a and on -a, each formed only when its coefficient is nonzero.  The
-    anchor is an exact zero if and only if B = 0.  ZeroCoefficient is raised
-    when alpha_n vanishes relative to its terms.  omegas is not read.
+    a and on -a, each formed only when its coefficient is nonzero, and each
+    by one szego_sweep up to the highest degree asked for.  The anchor is an
+    exact zero if and only if B = 0.  ZeroCoefficient is raised at the first
+    degree whose alpha_n vanishes relative to its terms.
     """
-    n = int(n)
-    if not 1 <= n <= table.order:
-        raise ValueError(f"degree {n} outside 1..{table.order}")
+    degrees = [int(n) for n in degrees]
+    for n in degrees:
+        if not 1 <= n <= table.order:
+            raise ValueError(f"degree {n} outside 1..{table.order}")
     w, angle = _canonical_anchor(spec.w, spec.omega0)
     if spec.mode == "f1":
-        A, B, m, label = 1.0, 0.0, n, f"f1(n={n})"
+        A, B, k, tag = 1.0, 0.0, 0, "f1("
     elif spec.mode == "f2":
-        A, B, m, label = 0.0, -1j, n, f"f2(n={n})"
+        A, B, k, tag = 0.0, -1j, 0, "f2("
     elif spec.mode == "combo":
-        A, B, m = spec.a1, -1j * spec.a2, n
-        label = f"combo(a1={spec.a1:g}, a2={spec.a2:g}, n={n})"
+        A, B, k = spec.a1, -1j * spec.a2, 0
+        tag = f"combo(a1={spec.a1:g}, a2={spec.a2:g}, "
     elif spec.mode == "polyseq":
-        A, B, m = spec.A(w), spec.B(w), n + spec.k
-        label = f"polyseq(k={spec.k}, n={n})"
+        A, B, k = spec.A(w), spec.B(w), spec.k
+        tag = f"polyseq(k={spec.k}, "
     else:
         raise ValueError(f"unknown family mode '{spec.mode}'")
-    root_e = np.sqrt(table.e[n])
-    terms = []
-    if A != 0:
-        terms.append(A * complex(root_e * szego_values(table.schur, n, w)[0]))
-    if B != 0:
-        # Omega_n is Phi_n of the sign-flipped sequence, with the same e_n
-        flipped = SchurSequence(-table.schur.coefficients[:n])
-        terms.append(B * complex(root_e * szego_values(flipped, n, w)[0]))
-    value = sum(terms)
-    if abs(value) <= 1e-12 * max(sum(abs(t) for t in terms), 1e-300):
-        raise ZeroCoefficient(
-            f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
+    top = max(degrees, default=0)
+    wanted = set(degrees)
+
+    def anchor_values(schur):
+        return {n: p for n, (p, _, _) in enumerate(szego_sweep(schur, top, w)) if n in wanted}
+
+    phi = anchor_values(table.schur) if A != 0 else None
+    # Omega_n is Phi_n of the sign-flipped sequence, with the same e_n
+    omega = anchor_values(SchurSequence(-table.schur.coefficients[:top])) if B != 0 else None
+    members = []
+    for n in degrees:
+        root_e = np.sqrt(table.e[n])
+        terms = []
+        if A != 0:
+            terms.append(A * complex(root_e * phi[n]))
+        if B != 0:
+            terms.append(B * complex(root_e * omega[n]))
+        value = sum(terms)
+        if abs(value) <= 1e-12 * max(sum(abs(t) for t in terms), 1e-300):
+            raise ZeroCoefficient(
+                f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
+            )
+        alpha = half_power(angle, -(n + k)) * value
+        zeros = invariant_zeros(table.schur, n, -alpha / np.conj(alpha), spec.omega0)
+        if B == 0:
+            zeros[np.argmin(circular_distance(zeros, angle))] = angle
+            zeros.sort()
+        members.append(
+            SofInstance(
+                n=n,
+                index=n,
+                alpha=complex(alpha),
+                table=table,
+                w=w,
+                anchor_angle=angle,
+                omega0=float(spec.omega0),
+                zeros=zeros,
+                label=f"{tag}n={n})",
+            )
         )
-    alpha = half_power(angle, -m) * value
-    zeros = invariant_zeros(table.schur, n, -alpha / np.conj(alpha), spec.omega0)
-    if B == 0:
-        zeros[np.argmin(circular_distance(zeros, angle))] = angle
-        zeros.sort()
-    return SofInstance(
-        n=n,
-        index=n,
-        alpha=complex(alpha),
-        table=table,
-        w=w,
-        anchor_angle=angle,
-        omega0=float(spec.omega0),
-        zeros=zeros,
-        label=label,
-    )
+    return members
 
 
 def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:
@@ -249,7 +273,8 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
     1-invariant polynomial of degree 2k whose zeros are those of the
     first-kind member without the anchor; the anchor re-enters as the extra
     quadrature node; it keeps the first-kind alpha.  F_1 is the constant 1
-    with no zeros.
+    with no zeros.  The members anchored at one point come from one
+    sof_members call, so one recurrence sweep per distinct anchor.
     """
     count = int(count)
     if count < 1:
@@ -275,8 +300,15 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
             label="F_1",
         )
     ]
+    by_anchor = {}
     for idx in range(2, count + 1):
-        inst = replace(sof_f1(table, idx, ws[idx - 1], omega0), label=f"F_{idx}")
+        by_anchor.setdefault(complex(ws[idx - 1]), []).append(idx)
+    first_kind = {}
+    for anchor, indices in by_anchor.items():
+        family = SofFamilySpec.f1(anchor, omega0)
+        first_kind.update(zip(indices, sof_members(table, family, indices)))
+    for idx in range(2, count + 1):
+        inst = replace(first_kind[idx], label=f"F_{idx}")
         if idx % 2:
             # the anchor is an exact zero of the first-kind member; dividing
             # it out leaves the |z - w|^2-modified member of degree idx - 1

@@ -18,7 +18,7 @@ from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .measures import MeasureSpec, schur_from_measure
 from .opuc import OpucTable, build_opuc
 from .quadrature import QuadratureRule
-from .sof import SofFamilySpec, SofInstance, sof_combo
+from .sof import SofFamilySpec, SofInstance, sof_members
 
 _EDGE_TOL = 1e-12
 _SLIVER = 1e-9
@@ -38,19 +38,15 @@ def _eps_union(zeros, eps):
     """Union of closed eps-balls around the zeros, split at the cut."""
     if eps >= np.pi:
         return [(0.0, TWO_PI)]
-    pieces = []
-    for theta in np.atleast_1d(zeros):
-        t = float(fold_angle(theta))
-        lo, hi = t - eps, t + eps
-        if lo < 0.0:
-            pieces.append((0.0, hi))
-            pieces.append((lo + TWO_PI, TWO_PI))
-        elif hi > TWO_PI:
-            pieces.append((lo, TWO_PI))
-            pieces.append((0.0, hi - TWO_PI))
-        else:
-            pieces.append((lo, hi))
-    return _merge(pieces)
+    t = fold_angle(np.atleast_1d(zeros))
+    lo, hi = t - eps, t + eps
+    # a ball across the cut is clipped to [0, 2 pi] and its overhang
+    # re-enters at the other end
+    under, over = lo < 0.0, hi > TWO_PI
+    n_under, n_over = np.count_nonzero(under), np.count_nonzero(over)
+    starts = np.concatenate((np.maximum(lo, 0.0), lo[under] + TWO_PI, np.zeros(n_over)))
+    ends = np.concatenate((np.minimum(hi, TWO_PI), np.full(n_under, TWO_PI), hi[over] - TWO_PI))
+    return _merge(list(zip(starts.tolist(), ends.tolist())))
 
 
 def _merge(pieces):
@@ -142,15 +138,16 @@ def zero_cloud(
     The eventually-common set holds the points that recur (within eps_match)
     in every computed degree; with finitely many degrees this is the honest
     finite-order proxy for the set of zeros shared by all high degrees.
-    omegas is accepted and not read: sof_combo takes Omega_n(w) from the
-    recurrence.
+    The members come from one sof_members call, so one recurrence sweep at
+    the anchor serves every degree.  omegas is accepted and not read:
+    sof_members takes Omega_n(w) from the recurrence.
     """
     orders = tuple(int(n) for n in orders)
     if not orders:
         raise ValueError("need at least one degree")
     if max(orders) > table.order:
         raise ValueError(f"degree {max(orders)} exceeds table order {table.order}")
-    sets = tuple(sof_combo(table, family, n).zeros for n in orders)
+    sets = tuple(inst.zeros for inst in sof_members(table, family, orders))
     candidates = sets[-1]
     common = []
     for theta in candidates:
@@ -248,7 +245,9 @@ def support_estimate(
     anchor shows up as an isolated recurring zero (no other zero within
     2 epsilon at any used degree) its epsilon-ball is removed, since an
     isolated recurring point is the anchor's own zero and not part of the
-    support.  The estimates are then intersected across anchors.
+    support.  The estimates are then intersected across anchors.  Only the
+    degrees n_min..n_max are read (n_min defaults to n_max // 2), so only
+    they are built, each anchor's family from one recurrence sweep.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -259,8 +258,11 @@ def support_estimate(
     if n_min is None:
         n_min = max(1, n_max // 2)
     n_min = int(n_min)
+    if n_min > n_max:
+        raise ValueError(f"no computed degrees at or above n_min = {n_min}")
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
-    orders = tuple(range(1, n_max + 1))
+    # accumulation_set and _anchor_isolated read no degree below n_min
+    orders = tuple(range(max(1, n_min), n_max + 1))
 
     angles = []
     est = None

@@ -140,6 +140,30 @@ def test_out_writes_file(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+@pytest.mark.parametrize("target", ["missing/rule.csv", "."])
+def test_unopenable_out_exits_2_before_numerics(capsys, tmp_path, monkeypatch, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics ran before the output path was checked")
+
+    monkeypatch.setattr("szego_quad.cli.schur_from_measure", refuse)
+    path = tmp_path / target
+    rc, out, err = run(capsys, ["rule", "--n", "4", "--out", str(path)])
+    assert rc == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"].startswith("parameters.out: cannot open")
+    assert doc["path"] == str(path)
+
+
+def test_out_probe_leaves_no_file_when_numerics_fail(capsys, tmp_path):
+    target = tmp_path / "schur.csv"
+    rc, out, _ = run(capsys, ["schur", "--measure", TWO_ATOM, "--n-max", "6", "--out", str(target)])
+    assert rc == 3
+    assert out == ""
+    assert not target.exists()
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(

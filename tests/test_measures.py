@@ -147,6 +147,10 @@ def test_parse_field_diagnostics():
         (lambda v: {"variant": "density", "name": "bernstein_szego", "param": [0.1, v]},
          "measure.param"),
         (lambda v: {"variant": "arc_density", "name": "uniform", "arc": [v, 2.0]}, "measure.arc"),
+        (lambda v: {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "param": v},
+         "measure.param"),
+        (lambda v: {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "param": [v, 0.0]},
+         "measure.param"),
     ],
 )
 def test_parse_rejects_non_finite_and_boolean_numbers(build, field, bad):
@@ -432,6 +436,45 @@ def test_schur_from_measure_arc_reaches_high_degree():
     assert all(0.70 < t < 0.715 for t in tail)
 
 
+def direct_value_extract(theta, weights, n_max):
+    """The value route with the second pass as sum w v conj(b), one product per term."""
+    z = np.exp(1j * theta)
+    bulk = lambda v, B: np.conj(B @ np.conj(weights * v))
+    exact = lambda v, B: np.array([np.dot(weights, v * np.conj(b)) for b in B])
+    norm = lambda v: float(weights @ np.abs(v) ** 2)
+    return meas._gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, (bulk, exact), norm)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize(
+    "components",
+    [
+        [(1.0, "uniform", 0.0, np.pi)],
+        [(1.0, "hann", 0.0, np.pi)],
+        [(1.0, "uniform", 0.5, 1.5), (1.0, "uniform", 3.0, 4.5)],
+        [(1.0, "hann", 1.0, 2.0)],
+    ],
+)
+def test_value_extract_bit_identical_to_direct_form(components, level):
+    # conj(v) b is the exact conjugate of v conj(b), and so is its weighted sum
+    arcs = [ArcDensity(name, (lo, hi)) for _, name, lo, hi in components]
+    if len(arcs) == 1:
+        spec = arcs[0]
+    else:
+        spec = Mixture(tuple((w, a) for (w, *_), a in zip(components, arcs)))
+    theta, weights = meas._discretize(spec, 2 * 32 + 2, level)
+
+    def outcome(extract):
+        # the narrow hann arc degenerates before degree 32: the error carries
+        # the degree and the 17 digits of the offending |a_n|
+        try:
+            return extract(theta, weights, 32).tobytes()
+        except NotPositiveDefinite as err:
+            return str(err)
+
+    assert outcome(meas._value_extract) == outcome(direct_value_extract)
+
+
 def test_schur_from_measure_atomic_degenerates_identically():
     with pytest.raises(NotPositiveDefinite) as exc:
         schur_from_measure(Atomic(atoms=((0.0, 0.5), (np.pi, 0.5))), 6)
@@ -448,6 +491,21 @@ def test_negative_atom_weight_rejected_by_both_routes():
 def test_moments_from_schur_needs_enough_coefficients():
     with pytest.raises(ValueError):
         moments_from_schur(SchurSequence([0.5, 0.1, -0.2]), 6)
+
+
+@pytest.mark.parametrize("param", [{"x": float("nan")}, "x", [0.1], [0.1, 0.2, 0.3], [[0.1], 0.2]])
+def test_parse_arc_density_param_checked_like_density_param(param):
+    obj = {"variant": "arc_density", "name": "uniform", "arc": [0.0, 2.0], "param": param}
+    with pytest.raises(ConfigError, match="measure.param"):
+        parse_measure(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("param", [None, 0.5, 3, [0.25, -1.5]])
+def test_parse_arc_density_param_kept_as_given(param):
+    obj = {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "param": param}
+    spec = parse_measure(obj)
+    assert spec.param == param
+    assert parse_measure(json.loads(json.dumps(measure_to_dict(spec)))) == spec
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from szego_quad import (
     second_kind,
     sof_f1,
 )
-from szego_quad.opuc import cmv_matrix, szego_values
+from szego_quad.opuc import cmv_matrix, szego_sweep, szego_values
 from szego_quad.poly import LaurentPolynomial
 
 from conftest import gram_schmidt_monic, random_schur
@@ -276,6 +276,31 @@ def test_szego_values_match_lazy_monic_table(rng):
         assert np.allclose(s, t.phi_star[n](z) / root_e, rtol=1e-12, atol=0)
         kernel = sum(np.abs(t.phi[k](z)) ** 2 / t.e[k] for k in range(n + 1))
         assert np.allclose(acc, kernel, rtol=1e-12, atol=0)
+
+
+def direct_szego_values(schur, n, z):
+    """The recurrence as one plain loop to degree n, without the sweep."""
+    z = np.asarray(z, dtype=complex)
+    p = s = np.ones(z.shape, dtype=complex)
+    acc = np.ones(z.shape, dtype=float)
+    for a in schur.coefficients[:n]:
+        rho = np.sqrt(1.0 - abs(a) ** 2)
+        zp = z * p
+        p, s = (zp + a * s) / rho, (s + np.conj(a) * zp) / rho
+        acc += np.abs(p) ** 2
+    return p, s, acc
+
+
+def test_szego_values_bit_identical_to_the_plain_loop(rng):
+    schur = random_schur(rng, 24, cap=0.9)
+    for z in (np.exp(0.7j), np.exp(2j * np.pi * rng.random(9)), 0.8 * np.exp(1j * np.arange(4))):
+        steps = list(szego_sweep(schur, 24, z))
+        assert len(steps) == 25
+        for n in (0, 1, 7, 24):
+            want = direct_szego_values(schur, n, z)
+            for got in (szego_values(schur, n, z), steps[n]):
+                assert all(g.shape == np.shape(z) for g in got)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_cmv_matrix_unitary_with_characteristic_polynomial(rng):

@@ -27,9 +27,11 @@ from szego_quad import (
     sof_combo,
     sof_f1,
     sof_f2,
+    sof_members,
     sturm_sign_probe,
 )
-from szego_quad.circle import circular_distance
+from szego_quad.circle import circular_distance, half_power
+from szego_quad.opuc import szego_values
 from szego_quad.poly import LaurentPolynomial
 from szego_quad.quadrature import invariant_zeros
 
@@ -225,6 +227,61 @@ def test_polyseq_zero_coefficient():
     with pytest.raises(ZeroCoefficient) as exc:
         sof_combo(lebesgue_table(), spec, 2)
     assert exc.value.detail["n"] == 2
+
+
+# ---------------------------------------------------------------------------
+# several degrees from one sweep
+
+
+def one_degree_alpha(table, spec, n, A, B):
+    """alpha_n from recurrences run to degree n alone, on a and on -a[:n]."""
+    w = np.exp(1j * spec.anchor_angle)
+    root_e = np.sqrt(table.e[n])
+    terms = []
+    if A != 0:
+        terms.append(A * complex(root_e * szego_values(table.schur, n, w)[0]))
+    if B != 0:
+        flipped = SchurSequence(-table.schur.coefficients[:n])
+        terms.append(B * complex(root_e * szego_values(flipped, n, w)[0]))
+    return complex(half_power(spec.anchor_angle, -(n + spec.k)) * sum(terms))
+
+
+def test_sof_members_bit_identical_to_one_degree_calls(rng):
+    table = build_opuc(random_schur(rng, 20, cap=0.8), 20)
+    w = np.exp(2.2j)
+    poly = random_polyseq(rng, 2, w, omega0=1.0)
+    families = [
+        (SofFamilySpec.f1(w), 1.0, 0.0),
+        (SofFamilySpec.f2(w, omega0=-0.5), 0.0, -1j),
+        (SofFamilySpec.combo(0.7, -1.3, w), 0.7, 1.3j),
+        (poly, poly.A(w), poly.B(w)),
+    ]
+    degrees = (12, 3, 7, 7, 1, 18)
+    for spec, A, B in families:
+        members = sof_members(table, spec, degrees)
+        assert [m.n for m in members] == list(degrees)
+        for n, got in zip(degrees, members):
+            alone = sof_combo(table, spec, n)
+            assert got.alpha == alone.alpha == one_degree_alpha(table, spec, n, A, B)
+            assert np.array_equal(got.zeros, alone.zeros)
+            assert got.label == alone.label
+            assert (got.anchor_angle, got.w) == (alone.anchor_angle, alone.w)
+    assert sof_members(table, SofFamilySpec.f1(w), ()) == []
+    with pytest.raises(ValueError, match="degree 21"):
+        sof_members(table, SofFamilySpec.f1(w), (4, 21))
+
+
+def test_f_sequence_groups_members_by_anchor(rng):
+    table = build_opuc(random_schur(rng, 10), 10)
+    anchors = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+    ws = [anchors[i % 3] for i in range(10)]
+    for idx, inst in enumerate(f_sequence(table, ws, 10)[1:], start=2):
+        alone = sof_f1(table, idx, ws[idx - 1])
+        assert inst.alpha == alone.alpha
+        keep = alone.zeros if idx % 2 == 0 else np.delete(
+            alone.zeros, np.argmin(circular_distance(alone.zeros, alone.anchor_angle))
+        )
+        assert np.array_equal(inst.zeros, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from szego_quad import (
     zero_cloud,
 )
 
+import szego_quad.support as sup
+from szego_quad.circle import TWO_PI, fold_angle
+
 from conftest import random_schur
 
 ARC = (np.pi / 2, 3 * np.pi / 2)
@@ -190,6 +193,66 @@ def test_support_estimate_guards():
         support_estimate(Lebesgue(), [1.0], 0, 0.1)
     with pytest.raises(ValueError):
         support_estimate(Lebesgue(), [], 8, 0.1)
+
+
+def all_degree_estimate(spec, anchors, n_max, epsilon):
+    """support_estimate spelled out on zero clouds of every degree 1..n_max."""
+    n_min = n_max // 2
+    table = build_opuc(schur_from_measure(spec, n_max), n_max)
+    est = None
+    for w in anchors:
+        cloud = zero_cloud(table, SofFamilySpec.f1(w), range(1, n_max + 1))
+        acc = sup._split_form(accumulation_set(cloud, epsilon, n_min))
+        if sup._anchor_isolated(cloud, epsilon, n_min):
+            acc = sup._subtract(acc, sup._eps_union(np.array([cloud.anchor_angle]), epsilon))
+        est = acc if est is None else sup._intersect(est, acc)
+    return tuple(sup._rejoin_wrap(sup._drop_slivers(est or [])))
+
+
+@pytest.mark.parametrize(
+    "spec, epsilon",
+    [
+        (ArcDensity("uniform", (0.0, np.pi)), 0.2),
+        (
+            Mixture(
+                (
+                    (1.0, ArcDensity("uniform", (0.5, 1.5))),
+                    (1.0, ArcDensity("uniform", (3.0, 4.5))),
+                )
+            ),
+            0.2,
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "anchors", [np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2)), [np.exp(5.5j)]]
+)
+def test_support_estimate_equals_all_degree_clouds(spec, epsilon, anchors):
+    # building only the degrees n_min..n_max changes no bit of the arcs
+    est = support_estimate(spec, anchors, 32, epsilon)
+    assert est.arcs == all_degree_estimate(spec, anchors, 32, epsilon)
+
+
+def test_eps_union_equals_one_ball_at_a_time(rng):
+    def one_at_a_time(zeros, eps):
+        pieces = []
+        for theta in zeros:
+            t = float(fold_angle(theta))
+            lo, hi = t - eps, t + eps
+            if lo < 0.0:
+                pieces += [(0.0, hi), (lo + TWO_PI, TWO_PI)]
+            elif hi > TWO_PI:
+                pieces += [(lo, TWO_PI), (0.0, hi - TWO_PI)]
+            else:
+                pieces.append((lo, hi))
+        return sup._merge(pieces)
+
+    zeros = np.concatenate((rng.uniform(-7.0, 13.0, 40), [0.0, 0.05, TWO_PI - 0.05, -1e-17]))
+    for eps in (1e-3, 0.1, 0.3, 3.0):
+        got = sup._eps_union(zeros, eps)
+        assert got == one_at_a_time(zeros, eps)
+        assert all(type(x) is float for piece in got for x in piece)
+    assert sup._eps_union(np.empty(0), 0.1) == []
 
 
 # ---------------------------------------------------------------------------

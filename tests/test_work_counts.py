@@ -1,0 +1,45 @@
+"""Work counts of the support and family paths, counted rather than timed.
+
+A support estimate reads the degrees n_min..n_max of each anchor's family,
+so it solves one CMV eigenproblem per anchor and read degree, and a family
+takes all its anchor values from one recurrence sweep per anchor.  The
+counters wrap the eigensolver and the sweep the families call.
+"""
+
+import numpy as np
+import pytest
+
+import szego_quad.sof as sof
+from szego_quad import ArcDensity, SchurSequence, build_opuc, f_sequence, support_estimate
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = {"eigvals": 0, "sweeps": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
+    monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
+    return tally
+
+
+def test_support_estimate_solves_only_the_degrees_it_reads(counts):
+    anchors = np.exp(1j * np.array([0.3, 3.5]))
+    est = support_estimate(ArcDensity("uniform", (1.0, 2.5)), anchors, 16, 0.3)
+    assert est.n_min == 8
+    assert counts["eigvals"] == 2 * 9
+    assert counts["sweeps"] == 2
+
+
+def test_f_sequence_runs_one_anchor_sweep(counts):
+    schur = SchurSequence(0.5 * np.exp(0.7j * np.arange(24)))
+    seq = f_sequence(build_opuc(schur, 24), np.exp(1.1j), 24)
+    assert len(seq) == 24
+    assert counts["sweeps"] == 1
+    assert counts["eigvals"] == 23
