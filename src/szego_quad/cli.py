@@ -31,20 +31,25 @@ from .support import support_estimate
 
 TASKS = ("moments", "schur", "rule", "zeros", "interlace", "fsequence", "support", "validate")
 
-# The parameter contract: name -> (type, flag help, tasks that require it).
-# A help of None marks a config-only parameter; the flag order is the table's.
+# every task that runs; validate only checks a config
+_RUN_TASKS = tuple(t for t in TASKS if t != "validate")
+_FAMILY = ("rule", "zeros", "interlace")
+
+# The parameter contract: name -> (type, flag help, tasks that read it), with
+# a "!" marking a task that requires it.  A help of None marks a config-only
+# parameter; the flag order is the table's.
 PARAMS = {
-    "out": (str, "artifact output path (default: stdout)", ()),
-    "format": (str, "artifact format: csv or json", ()),
-    "n": (int, "primary degree parameter", ("moments", "rule")),
-    "n_max": (int, "largest degree", ("schur", "zeros", "interlace", "fsequence", "support")),
-    "n_min": (int, None, ()),
-    "anchor_angle": (float, "anchor angle in radians", ()),
-    "anchor_angles": (list, None, ()),
-    "omega0": (float, "window base angle in radians", ()),
-    "epsilon": (float, "dilation radius for support arcs", ("support",)),
-    "a1": (float, "first-kind weight in the family combination", ()),
-    "a2": (float, "second-kind weight in the family combination", ()),
+    "out": (str, "artifact output path (default: stdout)", _RUN_TASKS),
+    "format": (str, "artifact format: csv or json", _RUN_TASKS),
+    "n": (int, "primary degree parameter", ("moments!", "rule!", "interlace")),
+    "n_max": (int, "largest degree", ("schur!", "zeros!", "interlace!", "fsequence!", "support!")),
+    "n_min": (int, None, ("support",)),
+    "anchor_angle": (float, "anchor angle in radians", (*_FAMILY, "fsequence", "support")),
+    "anchor_angles": (list, None, ("fsequence", "support")),
+    "omega0": (float, "window base angle in radians", (*_FAMILY, "fsequence")),
+    "epsilon": (float, "dilation radius for support arcs", ("support!",)),
+    "a1": (float, "first-kind weight in the family combination", _FAMILY),
+    "a2": (float, "second-kind weight in the family combination", _FAMILY),
 }
 
 
@@ -130,9 +135,10 @@ def _checked(cfg, task, flags):
     """Merge a config with flag values and check the result against the contract.
 
     The one check of ``validate`` and of every run, made before any numerics:
-    the config's shape, task and measure, then the name, type and value of
-    each merged parameter, the task's required ones, and the cross-parameter
-    ranges.  Raises ConfigError listing every problem; returns the parameters.
+    the config's shape, task and measure, then the name of each merged
+    parameter, whether the task reads it, its type and value, the task's
+    required ones, and the cross-parameter ranges.  Raises ConfigError
+    listing every problem; returns the parameters.
     """
     problems = []
     if not isinstance(cfg, dict):
@@ -159,13 +165,18 @@ def _checked(cfg, task, flags):
     params = {**params, **flags}
     ok = {}
     for name, val in params.items():
-        problem = "unknown parameter" if name not in PARAMS else _value_problem(name, val)
+        if name not in PARAMS:
+            problem = "unknown parameter"
+        elif task in _RUN_TASKS and task not in [t.rstrip("!") for t in PARAMS[name][2]]:
+            problem = f"not read by task '{task}'"
+        else:
+            problem = _value_problem(name, val)
         if problem:
             problems.append(f"parameters.{name}: {problem}")
         else:
             ok[name] = val
-    for name, (_, _, required_by) in PARAMS.items():
-        if task in required_by and name not in params:
+    for name, (_, _, readers) in PARAMS.items():
+        if f"{task}!" in readers and name not in params:
             problems.append(f"parameters.{name}: required by task '{task}' and missing")
     # ranges across parameters, read from the values that passed on their own
     n_max = ok.get("n_max")
@@ -175,7 +186,7 @@ def _checked(cfg, task, flags):
         problems.append("parameters.n: interlace needs 1 <= n < n_max")
     if task == "fsequence" and n_max is not None and 1 < len(ok.get("anchor_angles", ())) < n_max:
         problems.append("parameters.anchor_angles: fewer anchors than n_max")
-    if task in ("rule", "zeros", "interlace") and ok.get("a1", 1.0) == ok.get("a2", 0.0) == 0.0:
+    if task in _FAMILY and ok.get("a1", 1.0) == ok.get("a2", 0.0) == 0.0:
         problems.append("parameters.a1, a2: combo coefficients must not both vanish")
     if task == "support" and ok.get("format") == "csv":
         problems.append("parameters.format: support emits a JSON report; csv is not available")

@@ -57,32 +57,35 @@ def _canonical_anchor(w, omega0):
 
 @dataclass(frozen=True, eq=False)
 class SofFamilySpec:
-    """Declarative description of one semi-orthogonal family."""
+    """Declarative description of one semi-orthogonal family: the anchor w, the
+    window base omega0 and one coefficient pair (A, B) with symmetry degree k,
+    alpha_n = w^{-(n+k)/2} (A Phi_n(w) + B Omega_n(w)).  A and B are numbers,
+    or polynomials evaluated at the anchor; tag opens the member labels."""
 
     w: complex
     omega0: float = 0.0
-    mode: str = "f1"
-    a1: float = 1.0
-    a2: float = 0.0
-    A: ComplexPolynomial | None = None
-    B: ComplexPolynomial | None = None
+    A: complex | ComplexPolynomial = 1.0
+    B: complex | ComplexPolynomial = 0.0
     k: int = 0
+    tag: str = "f1("
 
     @classmethod
     def f1(cls, w, omega0=0.0):
-        return cls(w=complex(w), omega0=float(omega0), mode="f1")
+        return cls(w=complex(w), omega0=float(omega0))
 
     @classmethod
     def f2(cls, w, omega0=0.0):
-        return cls(w=complex(w), omega0=float(omega0), mode="f2")
+        return cls(w=complex(w), omega0=float(omega0), A=0.0, B=-1j, tag="f2(")
 
     @classmethod
     def combo(cls, a1, a2, w, omega0=0.0):
+        """a1 * first kind + a2 * second kind."""
         a1 = float(a1)
         a2 = float(a2)
         if a1 == 0.0 and a2 == 0.0:
             raise ValueError("combo coefficients must not both vanish")
-        return cls(w=complex(w), omega0=float(omega0), mode="combo", a1=a1, a2=a2)
+        tag = f"combo(a1={a1:g}, a2={a2:g}, "
+        return cls(w=complex(w), omega0=float(omega0), A=a1, B=-1j * a2, tag=tag)
 
     @classmethod
     def polyseq(cls, A: ComplexPolynomial, B: ComplexPolynomial, k: int, w, omega0=0.0):
@@ -98,11 +101,11 @@ class SofFamilySpec:
                 "coefficient symmetry violated: need A*(k) = A and B*(k) = -B "
                 f"(residual {worst:.3e})"
             )
-        return cls(w=complex(w), omega0=float(omega0), mode="polyseq", A=A, B=B, k=k)
+        return cls(w=complex(w), omega0=float(omega0), A=A, B=B, k=k, tag=f"polyseq(k={k}, ")
 
     @property
     def anchor_angle(self):
-        return fold_angle(float(np.angle(complex(self.w))), self.omega0)
+        return _canonical_anchor(self.w, self.omega0)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,34 +196,23 @@ def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> Sof
 
 def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInstance]:
     """Members of the declared family at each of the given degrees, in that order;
-    the one path for every mode.
+    the one path for every family.
 
-    alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with (A, B) = (1, 0) for
-    f1, (0, -i) for f2, (a1, -i a2) for combo (a1 * first kind + a2 * second
-    kind) and (A(w), B(w)) with m = n + k for polyseq; m = n otherwise.
-    Phi_n(w) and Omega_n(w) are sqrt(e_n) times the normalized recurrence on
-    a and on -a, each formed only when its coefficient is nonzero, and each
-    by one szego_sweep up to the highest degree asked for.  The anchor is an
-    exact zero if and only if B = 0.  ZeroCoefficient is raised at the first
-    degree whose alpha_n vanishes relative to its terms.
+    alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with m = n + k, the pair
+    (A, B) taken from the spec and evaluated at the anchor when it is a pair
+    of polynomials.  Phi_n(w) and Omega_n(w) are sqrt(e_n) times the
+    normalized recurrence on a and on -a, each formed only when its
+    coefficient is nonzero, and each by one szego_sweep up to the highest
+    degree asked for.  The anchor is an exact zero if and only if B = 0.
+    ZeroCoefficient is raised at the first degree whose alpha_n vanishes
+    relative to its terms.
     """
     degrees = [int(n) for n in degrees]
     for n in degrees:
         if not 1 <= n <= table.order:
             raise ValueError(f"degree {n} outside 1..{table.order}")
     w, angle = _canonical_anchor(spec.w, spec.omega0)
-    if spec.mode == "f1":
-        A, B, k, tag = 1.0, 0.0, 0, "f1("
-    elif spec.mode == "f2":
-        A, B, k, tag = 0.0, -1j, 0, "f2("
-    elif spec.mode == "combo":
-        A, B, k = spec.a1, -1j * spec.a2, 0
-        tag = f"combo(a1={spec.a1:g}, a2={spec.a2:g}, "
-    elif spec.mode == "polyseq":
-        A, B, k = spec.A(w), spec.B(w), spec.k
-        tag = f"polyseq(k={spec.k}, "
-    else:
-        raise ValueError(f"unknown family mode '{spec.mode}'")
+    A, B = (c(w) if isinstance(c, ComplexPolynomial) else c for c in (spec.A, spec.B))
     top = max(degrees, default=0)
     wanted = set(degrees)
 
@@ -243,7 +235,7 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
             raise ZeroCoefficient(
                 f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
             )
-        alpha = half_power(angle, -(n + k)) * value
+        alpha = half_power(angle, -(n + spec.k)) * value
         zeros = invariant_zeros(table.schur, n, -alpha / np.conj(alpha), spec.omega0)
         if B == 0:
             zeros[np.argmin(circular_distance(zeros, angle))] = angle
@@ -258,7 +250,7 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
                 anchor_angle=angle,
                 omega0=float(spec.omega0),
                 zeros=zeros,
-                label=f"{tag}n={n})",
+                label=f"{spec.tag}n={n})",
             )
         )
     return members

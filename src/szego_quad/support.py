@@ -36,9 +36,9 @@ def _drop_slivers(arcs):
 
 def _eps_union(zeros, eps):
     """Union of closed eps-balls around the zeros, split at the cut."""
-    if eps >= np.pi:
-        return [(0.0, TWO_PI)]
     t = fold_angle(np.atleast_1d(zeros))
+    if eps >= np.pi and t.size:
+        return [(0.0, TWO_PI)]
     lo, hi = t - eps, t + eps
     # a ball across the cut is clipped to [0, 2 pi] and its overhang
     # re-enters at the other end
@@ -166,6 +166,21 @@ def zero_cloud(
     )
 
 
+def _radius(epsilon):
+    epsilon = float(epsilon)
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return epsilon
+
+
+def _dilated_intersection(zero_sets, epsilon):
+    """Split-form intersection of the epsilon-dilations of the zero sets."""
+    acc = [(0.0, TWO_PI)]
+    for zs in zero_sets:
+        acc = _intersect(acc, _eps_union(zs, epsilon))
+    return acc
+
+
 def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     """Arcs where zeros keep landing: intersection over degrees n >= n_min of
     the epsilon-dilated zero sets, merged into maximal arcs.
@@ -173,23 +188,13 @@ def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     Returns a list of (lo, hi) pairs with lo in [0, 2 pi); a wrapping arc is
     reported with hi > 2 pi; the full circle comes back as (0, 2 pi).
     """
-    epsilon = float(epsilon)
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    epsilon = _radius(epsilon)
     if n_min is None:
         n_min = max(min(cloud.orders), max(cloud.orders) // 2)
-    used = [n for n in cloud.orders if n >= n_min]
+    used = [zs for n, zs in zip(cloud.orders, cloud.zero_sets) if n >= n_min]
     if not used:
         raise ValueError(f"no computed degrees at or above n_min = {n_min}")
-    acc = None
-    for n, zs in zip(cloud.orders, cloud.zero_sets):
-        if n < n_min:
-            continue
-        dil = _eps_union(zs, epsilon)
-        acc = dil if acc is None else _intersect(acc, dil)
-        if not acc:
-            break
-    return _rejoin_wrap(_drop_slivers(acc or []))
+    return _rejoin_wrap(_drop_slivers(_dilated_intersection(used, epsilon)))
 
 
 def gap_zero_census(cloud: ZeroCloud, gap) -> np.ndarray:
@@ -208,30 +213,6 @@ class SupportEstimate:
     anchor_angles: tuple
 
 
-def _split_form(arcs):
-    """Back from reported arcs to the split representation."""
-    pieces = []
-    for lo, hi in arcs:
-        if hi > TWO_PI:
-            pieces.append((lo, TWO_PI))
-            pieces.append((0.0, hi - TWO_PI))
-        else:
-            pieces.append((lo, hi))
-    return _merge(pieces)
-
-
-def _anchor_isolated(cloud, epsilon, n_min):
-    """True when, in every used degree, the anchor's ball of radius 2 eps
-    holds exactly one zero (the recurring anchor itself)."""
-    for n, zs in zip(cloud.orders, cloud.zero_sets):
-        if n < n_min:
-            continue
-        near = np.count_nonzero(circular_distance(zs, cloud.anchor_angle) <= 2.0 * epsilon)
-        if near != 1:
-            return False
-    return True
-
-
 def support_estimate(
     spec: MeasureSpec,
     anchors,
@@ -241,17 +222,22 @@ def support_estimate(
 ) -> SupportEstimate:
     """Estimate the support of the measure from anchored first-kind zeros.
 
-    For each unimodular anchor the accumulation arcs are computed; when the
-    anchor shows up as an isolated recurring zero (no other zero within
-    2 epsilon at any used degree) its epsilon-ball is removed, since an
-    isolated recurring point is the anchor's own zero and not part of the
-    support.  The estimates are then intersected across anchors.  Only the
-    degrees n_min..n_max are read (n_min defaults to n_max // 2), so only
-    they are built, each anchor's family from one recurrence sweep.
+    One pass over every anchor and every read degree: the epsilon-dilated
+    zero sets of all of them are intersected, and the epsilon-balls of the
+    isolated anchors are removed from the result.  An anchor is isolated
+    when, at every read degree, it is the only zero within 2 epsilon of
+    itself: an isolated recurring point is the anchor's own zero and not
+    part of the support.  Removing the union of the balls from the one
+    intersection equals intersecting the per-anchor estimates with each
+    anchor's ball removed.  Only the degrees n_min..n_max are read (n_min
+    defaults to n_max // 2), so only they are built, each anchor's family
+    from one recurrence sweep.  A bad epsilon, n_max or n_min raises
+    ValueError before any numerics.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    epsilon = _radius(epsilon)
     anchors = [complex(w) for w in np.atleast_1d(anchors)]
     if not anchors:
         raise ValueError("need at least one anchor")
@@ -261,23 +247,19 @@ def support_estimate(
     if n_min > n_max:
         raise ValueError(f"no computed degrees at or above n_min = {n_min}")
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
-    # accumulation_set and _anchor_isolated read no degree below n_min
-    orders = tuple(range(max(1, n_min), n_max + 1))
-
-    angles = []
-    est = None
-    for w in anchors:
-        cloud = zero_cloud(table, SofFamilySpec.f1(w, omega0=0.0), orders)
-        acc = _split_form(accumulation_set(cloud, epsilon, n_min))
-        if _anchor_isolated(cloud, epsilon, n_min):
-            ball = _eps_union(np.array([cloud.anchor_angle]), epsilon)
-            acc = _subtract(acc, ball)
-        angles.append(cloud.anchor_angle)
-        est = acc if est is None else _intersect(est, acc)
-    arcs = tuple(_rejoin_wrap(_drop_slivers(est or [])))
+    orders = range(max(1, n_min), n_max + 1)
+    families = [sof_members(table, SofFamilySpec.f1(w), orders) for w in anchors]
+    est = _dilated_intersection((m.zeros for f in families for m in f), epsilon)
+    angles = [f[0].anchor_angle for f in families]
+    isolated = [
+        angle
+        for angle, f in zip(angles, families)
+        if all(np.count_nonzero(circular_distance(m.zeros, angle) <= 2 * epsilon) == 1 for m in f)
+    ]
+    est = _subtract(est, _eps_union(np.array(isolated), epsilon))
     return SupportEstimate(
-        arcs=arcs,
-        epsilon=float(epsilon),
+        arcs=tuple(_rejoin_wrap(_drop_slivers(est))),
+        epsilon=epsilon,
         n_min=n_min,
         n_max=n_max,
         anchor_angles=tuple(angles),

@@ -46,6 +46,13 @@ def test_rule_json(capsys):
     assert doc["exactness_residual"] < 1e-12
 
 
+def test_rule_json_names_its_family(capsys):
+    argv = ["rule", "--n", "3", "--a1", "0.7", "--a2", "-1.3", "--format", "json"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["source"] == "sof(combo(a1=0.7, a2=-1.3, n=3))"
+
+
 def test_moments_csv(capsys):
     rc, out, _ = run(capsys, ["moments", "--n", "3"])
     assert rc == 0
@@ -367,6 +374,59 @@ def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
         assert doc["error"] == "ConfigError"
         firsts.append(doc["diagnostics"][0])
     assert firsts[0] == firsts[1]
+
+
+@pytest.mark.parametrize(
+    "config, unread",
+    [
+        ({"task": "rule", "parameters": {"n": 3, "anchor_angles": [1.0], "n_min": 2}},
+         ["anchor_angles", "n_min"]),
+        ({"task": "moments", "parameters": {"n": 3, "anchor_angle": 0.5}}, ["anchor_angle"]),
+        ({"task": "schur", "parameters": {"n_max": 4, "epsilon": 0.1, "omega0": 0.2}},
+         ["epsilon", "omega0"]),
+        ({"task": "zeros", "parameters": {"n_max": 4, "n": 2}}, ["n"]),
+        ({"task": "fsequence", "parameters": {"n_max": 4, "a1": 1.0}}, ["a1"]),
+        ({"task": "support", "parameters": {"n_max": 8, "epsilon": 0.3, "omega0": 0.2}},
+         ["omega0"]),
+    ],
+)
+def test_parameters_a_task_does_not_read_exit_2(capsys, tmp_path, config, unread):
+    # a valid value that the task would ignore is reported, by validate and the run alike
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    task = config["task"]
+    for argv in (["validate", "--config", str(cfg)], [task, "--config", str(cfg)]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError"
+        expected = [f"parameters.{name}: not read by task '{task}'" for name in unread]
+        assert doc["diagnostics"] == expected
+
+
+def test_flag_a_task_does_not_read_exits_2(capsys):
+    rc, out, err = run(capsys, ["rule", "--n", "3", "--epsilon", "0.2"])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["message"] == "parameters.epsilon: not read by task 'rule'"
+
+
+@pytest.mark.parametrize(
+    "task, required",
+    [
+        ("moments", {"n": 2}),
+        ("schur", {"n_max": 2}),
+        ("rule", {"n": 2}),
+        ("zeros", {"n_max": 2}),
+        ("interlace", {"n_max": 2}),
+        ("fsequence", {"n_max": 2}),
+        ("support", {"n_max": 2, "epsilon": 0.5}),
+    ],
+)
+def test_out_and_format_are_read_by_every_task(capsys, tmp_path, task, required):
+    params = {**required, "out": str(tmp_path / "artifact.json"), "format": "json"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"task": task, "parameters": params}))
+    assert run(capsys, ["validate", "--config", str(cfg)])[:2] == (0, "ok\n")
 
 
 def test_flag_supplies_parameter_missing_from_config(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Semi-orthogonal functions: construction, zeros, interlacing, sign probes."""
 
+import hashlib
 from dataclasses import replace
 
 import mpmath
@@ -269,6 +270,49 @@ def test_sof_members_bit_identical_to_one_degree_calls(rng):
     assert sof_members(table, SofFamilySpec.f1(w), ()) == []
     with pytest.raises(ValueError, match="degree 21"):
         sof_members(table, SofFamilySpec.f1(w), (4, 21))
+
+
+# sha256 over (alpha, zeros, label) of the members of degrees 1..16, taken
+# before the family description held one coefficient pair (x86-64, numpy
+# 2.4, OpenBLAS 0.3.31: the zeros are LAPACK eigenvalues, so another LAPACK
+# may move their last bits)
+FAMILY_DIGESTS = {
+    "f1": "6e3999ec2eca42f4dd7652606494d240ce172ffe84c8a6c390e21b78b8a74583",
+    "f2": "5dc8b3d45415705f4ff67f6394666df1e95ff5e063202bb39ca54a9127cebb44",
+    "combo": "6bc3a19060f045dbb3c067a8c599fa8e14b77d1437616a7fc74e5f93929e8ff4",
+    "polyseq": "f15b1d5d9a596b9ee4a94e95fe57c411c0b12f6b33cc9636846385745e0fae9c",
+}
+
+
+def test_family_members_keep_their_recorded_bits():
+    decay = np.linspace(1.0, 0.5, 16)
+    table = build_opuc(SchurSequence(0.6 * np.exp(0.7j * np.arange(16)) * decay), 16)
+    w = np.exp(2.2j)
+    p = ComplexPolynomial([1 + 2j, -0.5 + 1j, 0.3 - 0.4j])
+    q = ComplexPolynomial([0.2 - 1j, 1.5 + 0.5j, -0.7 + 0.1j])
+    families = {
+        "f1": SofFamilySpec.f1(w),
+        "f2": SofFamilySpec.f2(w, omega0=-0.5),
+        "combo": SofFamilySpec.combo(0.7, -1.3, w),
+        "polyseq": SofFamilySpec.polyseq(
+            p + p.conj_reverse(2), q - q.conj_reverse(2), 2, w, omega0=1.0
+        ),
+    }
+    tags = {
+        "f1": "f1(",
+        "f2": "f2(",
+        "combo": "combo(a1=0.7, a2=-1.3, ",
+        "polyseq": "polyseq(k=2, ",
+    }
+    for name, spec in families.items():
+        members = sof_members(table, spec, range(1, 17))
+        assert [m.label for m in members] == [f"{tags[name]}n={n})" for n in range(1, 17)]
+        digest = hashlib.sha256()
+        for m in members:
+            digest.update(np.complex128(m.alpha).tobytes())
+            digest.update(m.zeros.tobytes())
+            digest.update(m.label.encode())
+        assert digest.hexdigest() == FAMILY_DIGESTS[name], name
 
 
 def test_f_sequence_groups_members_by_anchor(rng):

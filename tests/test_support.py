@@ -1,5 +1,7 @@
 """Zero accumulation and support recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from szego_quad import (
     Mixture,
     SchurSequence,
     SofFamilySpec,
+    SzegoQuadError,
     build_opuc,
     make_pop,
     make_rule,
@@ -25,7 +28,7 @@ from szego_quad import (
 )
 
 import szego_quad.support as sup
-from szego_quad.circle import TWO_PI, fold_angle
+from szego_quad.circle import TWO_PI, circular_distance, fold_angle
 
 from conftest import random_schur
 
@@ -170,6 +173,8 @@ def test_support_estimate_lebesgue_full_circle():
     # no gap to find; the anchor is inside the support and is not removed
     est = support_estimate(Lebesgue(), [1.0], 16, 0.45)
     assert est.arcs == ((0.0, 2 * np.pi),)
+    # a radius past pi covers the circle; with no anchor isolated nothing is removed
+    assert support_estimate(Lebesgue(), [1.0], 16, 4.0).arcs == ((0.0, 2 * np.pi),)
 
 
 def test_support_estimate_two_arcs_two_anchors():
@@ -196,17 +201,50 @@ def test_support_estimate_guards():
 
 
 def all_degree_estimate(spec, anchors, n_max, epsilon):
-    """support_estimate spelled out on zero clouds of every degree 1..n_max."""
+    """support_estimate spelled out on zero clouds of every degree 1..n_max: one
+    intersection of the epsilon-dilated zero sets of the degrees n_max // 2..n_max
+    over every anchor, less the epsilon-balls of the isolated anchors."""
+    n_min = n_max // 2
+    table = build_opuc(schur_from_measure(spec, n_max), n_max)
+    est, isolated = [(0.0, TWO_PI)], []
+    for w in anchors:
+        cloud = zero_cloud(table, SofFamilySpec.f1(w), range(1, n_max + 1))
+        used = [zs for n, zs in zip(cloud.orders, cloud.zero_sets) if n >= n_min]
+        for zs in used:
+            est = sup._intersect(est, sup._eps_union(zs, epsilon))
+        near = [circular_distance(zs, cloud.anchor_angle) <= 2 * epsilon for zs in used]
+        if all(np.count_nonzero(hits) == 1 for hits in near):
+            isolated.append(cloud.anchor_angle)
+    est = sup._subtract(est, sup._eps_union(np.array(isolated), epsilon))
+    return tuple(sup._rejoin_wrap(sup._drop_slivers(est)))
+
+
+def per_anchor_estimate(spec, anchors, n_max, epsilon):
+    """The per-anchor composition the one pass replaced: each anchor's
+    accumulation arcs split at the cut again, less the anchor's ball when it is
+    isolated, then intersected across anchors."""
     n_min = n_max // 2
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
     est = None
     for w in anchors:
-        cloud = zero_cloud(table, SofFamilySpec.f1(w), range(1, n_max + 1))
-        acc = sup._split_form(accumulation_set(cloud, epsilon, n_min))
-        if sup._anchor_isolated(cloud, epsilon, n_min):
+        cloud = zero_cloud(table, SofFamilySpec.f1(w), range(n_min, n_max + 1))
+        pieces = []
+        for lo, hi in accumulation_set(cloud, epsilon, n_min):
+            pieces += [(lo, TWO_PI), (0.0, hi - TWO_PI)] if hi > TWO_PI else [(lo, hi)]
+        acc = sup._merge(pieces)
+        near = [circular_distance(zs, cloud.anchor_angle) <= 2 * epsilon for zs in cloud.zero_sets]
+        if all(np.count_nonzero(hits) == 1 for hits in near):
             acc = sup._subtract(acc, sup._eps_union(np.array([cloud.anchor_angle]), epsilon))
         est = acc if est is None else sup._intersect(est, acc)
-    return tuple(sup._rejoin_wrap(sup._drop_slivers(est or [])))
+    return tuple(sup._rejoin_wrap(sup._drop_slivers(est)))
+
+
+def assert_equal_up_to_the_cut(got, ref):
+    # the per-anchor composition split a wrapping arc (lo, x + 2 pi) back as
+    # (0, (x + 2 pi) - 2 pi), which rounds x by at most one ulp of 2 pi
+    assert len(got) == len(ref)
+    for arc, ref_arc in zip(got, ref):
+        assert all(abs(a - b) <= math.ulp(TWO_PI) for a, b in zip(arc, ref_arc)), (arc, ref_arc)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +269,36 @@ def test_support_estimate_equals_all_degree_clouds(spec, epsilon, anchors):
     # building only the degrees n_min..n_max changes no bit of the arcs
     est = support_estimate(spec, anchors, 32, epsilon)
     assert est.arcs == all_degree_estimate(spec, anchors, 32, epsilon)
+    assert_equal_up_to_the_cut(est.arcs, per_anchor_estimate(spec, anchors, 32, epsilon))
+
+
+def test_support_estimate_matches_per_anchor_composition_on_random_arcs():
+    rng = np.random.default_rng(13)
+    compared = 0
+    for _ in range(10):
+        lo = rng.uniform(0.0, TWO_PI)
+        spec = ArcDensity("uniform", (lo, lo + rng.uniform(1.5, 4.5)))
+        anchors = list(np.exp(1j * rng.uniform(0.0, TWO_PI, rng.integers(1, 5))))
+        n_max, epsilon = int(rng.choice([16, 24])), float(rng.uniform(0.15, 0.35))
+        try:
+            ref = per_anchor_estimate(spec, anchors, n_max, epsilon)
+        except SzegoQuadError as err:
+            with pytest.raises(type(err)):
+                support_estimate(spec, anchors, n_max, epsilon)
+            continue
+        assert_equal_up_to_the_cut(support_estimate(spec, anchors, n_max, epsilon).arcs, ref)
+        compared += 1
+    assert compared >= 5
+
+
+def test_support_estimate_keeps_the_anchor_ball_edge_exact():
+    # the per-anchor composition ended this arc at 0.9853981633974485: the edge
+    # of the epsilon-ball around the anchor zero pi/4 ended a wrapping arc of
+    # that anchor's estimate, which it split back as (x + 2 pi) - 2 pi
+    anchors = [complex(np.exp(1j * (math.pi / 4 + k * math.pi / 2))) for k in range(4)]
+    est = support_estimate(ArcDensity("hann", (0.0, math.pi)), anchors, 16, 0.2)
+    assert est.anchor_angles[0] == math.pi / 4
+    assert math.pi / 4 + 0.2 in [hi for _, hi in est.arcs]
 
 
 def test_eps_union_equals_one_ball_at_a_time(rng):
@@ -253,6 +321,7 @@ def test_eps_union_equals_one_ball_at_a_time(rng):
         assert got == one_at_a_time(zeros, eps)
         assert all(type(x) is float for piece in got for x in piece)
     assert sup._eps_union(np.empty(0), 0.1) == []
+    assert sup._eps_union(np.empty(0), 4.0) == []
 
 
 # ---------------------------------------------------------------------------
