@@ -49,7 +49,6 @@ from .opuc import (
 )
 from .poly import ComplexPolynomial, LaurentPolynomial
 from .quadrature import (
-    DiscreteMeasure,
     InvariantPop,
     QuadratureRule,
     circle_zero_angles,

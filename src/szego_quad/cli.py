@@ -186,6 +186,8 @@ def _checked(cfg, task, flags):
         problems.append("parameters.n: interlace needs 1 <= n < n_max")
     if task == "fsequence" and n_max is not None and 1 < len(ok.get("anchor_angles", ())) < n_max:
         problems.append("parameters.anchor_angles: fewer anchors than n_max")
+    if "anchor_angle" in ok and "anchor_angles" in ok:
+        problems.append("parameters.anchor_angle, anchor_angles: set one of the two, not both")
     if task in _FAMILY and ok.get("a1", 1.0) == ok.get("a2", 0.0) == 0.0:
         problems.append("parameters.a1, a2: combo coefficients must not both vanish")
     if task == "support" and ok.get("format") == "csv":
@@ -237,7 +239,6 @@ def _interlace(measure, params):
     n_lo, n_max = params.get("n", 1), params["n_max"]
     table = _pipeline(measure, n_max)
     family = _family(params)
-    anchored = float(params.get("a2", 0.0)) == 0.0
     degrees = range(n_lo, n_max + 1)
     insts = dict(zip(degrees, sof_members(table, family, degrees)))
     results = []
@@ -246,7 +247,7 @@ def _interlace(measure, params):
             insts[n].zeros,
             insts[n + 1].zeros,
             family.omega0,
-            exclude_anchor=family.anchor_angle if anchored else None,
+            exclude_anchor=family.anchor_angle if family.B == 0 else None,
         )
         results.append((n, n + 1, res.ok, res.witness))
     return results
@@ -264,8 +265,8 @@ def _support(measure, params):
     return support_estimate(measure, _anchors(params), n_max, epsilon, n_min=params.get("n_min"))
 
 
-# task -> (compute, serializer stem): the artifact is serialize.<stem>_<format>,
-# looked up on the module when the run writes it
+# task -> (compute, layout): the artifact is serialize.<layout>, looked up on
+# the module when the run writes it and rendered as its table or its document
 _RUNNERS = {
     "moments": (_moments, "moments"),
     "schur": (_schur, "schur"),
@@ -308,9 +309,10 @@ def _run(args):
     out = params.get("out")
     if out:
         _probe_out(out)
-    compute, stem = _RUNNERS[args.task]
-    fmt = params.get("format", "json" if args.task == "support" else "csv")
-    text = getattr(serialize, f"{stem}_{fmt}")(compute(measure, params))
+    compute, layout = _RUNNERS[args.task]
+    table, doc = getattr(serialize, layout)(compute(measure, params))
+    csv = params.get("format", "csv" if table else "json") == "csv"
+    text = serialize.csv_text(*table) if csv else serialize.json_text(doc)
     if out:
         with _open_out(out, "w") as fh:
             fh.write(text)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circle import TWO_PI, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch
-from .measures import MomentTable, measure_integral
+from .measures import Atomic, MomentTable, measure_integral
 from .opuc import OpucTable, SchurSequence, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
@@ -177,14 +177,6 @@ class QuadratureRule:
         return complex(np.dot(self.weights, np.exp(1j * k * self.node_angles)))
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    """The rule viewed as an atomic measure."""
-
-    atoms: tuple[tuple[float, float], ...]
-    order: int
-
-
 def _exactness_residual(m: MomentTable, angles, weights, order):
     ks = np.arange(-(order - 1), order)
     vals = np.exp(1j * np.outer(ks, angles)) @ weights
@@ -258,9 +250,9 @@ def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.nda
     return out
 
 
-def discrete_measure(rule: QuadratureRule) -> DiscreteMeasure:
-    atoms = tuple((float(t), float(w)) for t, w in zip(rule.node_angles, rule.weights))
-    return DiscreteMeasure(atoms=atoms, order=rule.order)
+def discrete_measure(rule: QuadratureRule) -> Atomic:
+    """The rule viewed as an atomic measure, one atom per node."""
+    return Atomic(atoms=tuple((float(t), float(w)) for t, w in zip(rule.node_angles, rule.weights)))
 
 
 TEST_FUNCTIONS = {

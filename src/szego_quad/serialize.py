@@ -1,8 +1,14 @@
-"""Deterministic text artifacts: fixed float formatting, stable key order.
+"""Deterministic text artifacts: one layout per artifact, two renderings.
 
-Identical inputs must produce byte-identical files, so floats are always
-rendered as 17-significant-digit lowercase scientific notation and JSON is
-emitted by a small writer with insertion-ordered keys and no ambient state.
+Each artifact has one layout function (``rule``, ``moments``, ``schur``,
+``zero_rows``, ``interlace``, ``support``) returning ``(table, doc)``: the
+CSV table ``(columns, rows)``, or None for an artifact without one, and the
+JSON document.  A row artifact's document is derived from its rows: the head
+fields, then one object per row under one key.  ``rule`` keeps a columnar
+document.  ``csv_text`` renders every table and ``json_text`` every document.
+
+Identical inputs give byte-identical text: floats in 17-significant-digit
+lowercase scientific notation, JSON keys in insertion order.
 """
 
 from __future__ import annotations
@@ -50,123 +56,65 @@ def json_text(obj, indent=2) -> str:
     return _render(obj, indent, 0) + "\n"
 
 
-def csv_text(header, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    return str(v).replace(",", ";")
+
+
+def csv_text(columns, rows) -> str:
+    """A header line, then one line per row: floats through fmt_float, None
+    as an empty cell, a comma inside text as ';'."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def rule_csv(rule) -> str:
-    rows = [
-        (k + 1, fmt_float(t), fmt_float(w))
-        for k, (t, w) in enumerate(zip(rule.node_angles, rule.weights))
-    ]
-    return csv_text("k,theta,weight", rows)
+def _row_layout(columns, rows, key, **head):
+    """The table, and the document: head fields, then the rows as objects under key."""
+    return (columns, rows), {**head, key: [dict(zip(columns, row)) for row in rows]}
 
 
-def rule_json(rule) -> str:
-    return json_text(
-        {
-            "order": rule.order,
-            "omega0": rule.omega0,
-            "node_angles": list(map(float, rule.node_angles)),
-            "weights": list(map(float, rule.weights)),
-            "source": rule.source,
-            "exactness_residual": rule.exactness_residual,
-        }
-    )
+def rule(r):
+    rows = [(k + 1, t, w) for k, (t, w) in enumerate(zip(r.node_angles, r.weights))]
+    doc = {
+        "order": r.order,
+        "omega0": r.omega0,
+        "node_angles": list(map(float, r.node_angles)),
+        "weights": list(map(float, r.weights)),
+        "source": r.source,
+        "exactness_residual": r.exactness_residual,
+    }
+    return (("k", "theta", "weight"), rows), doc
 
 
-def zero_rows_csv(entries) -> str:
+def zero_rows(entries):
     """entries: iterable of (n, zeros array)."""
-    rows = []
-    for n, zeros in entries:
-        for k, theta in enumerate(zeros):
-            rows.append((n, k + 1, fmt_float(theta)))
-    return csv_text("n,k,theta", rows)
+    rows = [(int(n), k + 1, theta) for n, zeros in entries for k, theta in enumerate(zeros)]
+    return _row_layout(("n", "k", "theta"), rows, "zeros")
 
 
-def zero_rows_json(entries) -> str:
-    return json_text(
-        {
-            "zeros": [
-                {"n": int(n), "k": k + 1, "theta": float(theta)}
-                for n, zeros in entries
-                for k, theta in enumerate(zeros)
-            ]
-        }
-    )
+def moments(table):
+    rows = [(k, c.real, c.imag) for k, c in enumerate(table.c)]
+    return _row_layout(("k", "re", "im"), rows, "moments", K=table.K)
 
 
-def moments_csv(table) -> str:
-    rows = [(k, fmt_float(c.real), fmt_float(c.imag)) for k, c in enumerate(table.c)]
-    return csv_text("k,re,im", rows)
+def schur(seq):
+    rows = [(n + 1, a.real, a.imag) for n, a in enumerate(seq.coefficients)]
+    return _row_layout(("n", "re", "im"), rows, "coefficients", n_max=seq.max_order)
 
 
-def moments_json(table) -> str:
-    return json_text(
-        {
-            "K": table.K,
-            "moments": [
-                {"k": k, "re": float(c.real), "im": float(c.imag)}
-                for k, c in enumerate(table.c)
-            ],
-        }
-    )
-
-
-def schur_csv(seq) -> str:
-    rows = [
-        (n + 1, fmt_float(a.real), fmt_float(a.imag))
-        for n, a in enumerate(seq.coefficients)
-    ]
-    return csv_text("n,re,im", rows)
-
-
-def schur_json(seq) -> str:
-    return json_text(
-        {
-            "n_max": seq.max_order,
-            "coefficients": [
-                {"n": n + 1, "re": float(a.real), "im": float(a.imag)}
-                for n, a in enumerate(seq.coefficients)
-            ],
-        }
-    )
-
-
-def interlace_csv(results) -> str:
+def interlace(results):
     """results: iterable of (n, n_next, ok, witness)."""
-    rows = [
-        (n, n2, "pass" if ok else "fail", "" if witness is None else witness.replace(",", ";"))
-        for n, n2, ok, witness in results
-    ]
-    return csv_text("n,next,status,witness", rows)
+    rows = [(n, n2, "pass" if ok else "fail", witness) for n, n2, ok, witness in results]
+    return _row_layout(("n", "next", "status", "witness"), rows, "pairs")
 
 
-def interlace_json(results) -> str:
-    return json_text(
-        {
-            "pairs": [
-                {
-                    "n": n,
-                    "next": n2,
-                    "status": "pass" if ok else "fail",
-                    "witness": witness,
-                }
-                for n, n2, ok, witness in results
-            ]
-        }
-    )
-
-
-def support_json(est) -> str:
-    return json_text(
-        {
-            "arcs": [[float(lo), float(hi)] for lo, hi in est.arcs],
-            "epsilon": est.epsilon,
-            "n_max": est.n_max,
-            "anchors": list(map(float, est.anchor_angles)),
-        }
-    )
+def support(est):
+    return None, {
+        "arcs": [[float(lo), float(hi)] for lo, hi in est.arcs],
+        "epsilon": est.epsilon,
+        "n_max": est.n_max,
+        "anchors": list(map(float, est.anchor_angles)),
+    }

@@ -3,12 +3,13 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from szego_quad.cli import main
+from szego_quad.cli import console_entry, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 NAN_ATOM = '{"variant": "atomic", "atoms": [[0.0, NaN], [1.0, 1.0]]}'
@@ -359,6 +360,10 @@ def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
         {"task": "rule", "parameters": {"n": 4, "anchor_angle": True}},
         {"task": "support", "parameters": {"n_max": 8, "epsilon": 0.3, "n_min": True}},
         {"task": "rule", "parameters": {"n": 3, "a1": 0, "a2": 0}},
+        {"task": "support", "parameters": {"n_max": 8, "epsilon": 0.3, "anchor_angle": 2.5,
+                                           "anchor_angles": [5.0]}},
+        {"task": "fsequence", "parameters": {"n_max": 4, "anchor_angle": 0.5,
+                                             "anchor_angles": [1.0]}},
     ],
 )
 def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
@@ -374,6 +379,22 @@ def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
         assert doc["error"] == "ConfigError"
         firsts.append(doc["diagnostics"][0])
     assert firsts[0] == firsts[1]
+
+
+@pytest.mark.parametrize("task", ["fsequence", "support"])
+def test_both_anchor_parameters_exit_2_with_one_diagnostic(capsys, tmp_path, task):
+    params = {"n_max": 16, "epsilon": 0.3, "anchor_angle": 2.5, "anchor_angles": [5.0]}
+    if task == "fsequence":
+        params.pop("epsilon")
+    measure = {"variant": "arc_density", "name": "uniform", "arc": [1.0, 4.0]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"task": task, "measure": measure, "parameters": params}))
+    for argv in (["validate", "--config", str(cfg)], [task, "--config", str(cfg)]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["diagnostics"] == [
+            "parameters.anchor_angle, anchor_angles: set one of the two, not both"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -451,6 +472,16 @@ def test_config_invalid_json_reports_position(capsys, tmp_path):
     assert rc == 2
     doc = json.loads(err)
     assert doc["line"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [(["rule", "--n", "2"], 0), (["rule", "--n", "0"], 2)])
+def test_console_entry_exits_with_the_run_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["szego-quad", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_entry()
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert (bool(out), bool(err)) == (code == 0, code != 0)
 
 
 # ---------------------------------------------------------------------------
