@@ -17,7 +17,6 @@ import numpy as np
 from . import serialize
 from .errors import ConfigError, SzegoQuadError
 from .measures import (
-    Lebesgue,
     finite_number,
     json_integer,
     moments,
@@ -131,16 +130,18 @@ def _value_problem(name, val):
     return None
 
 
-def _checked(cfg, task, flags):
+def _checked(cfg, task, flags, measure_flag=None):
     """Merge a config with flag values and check the result against the contract.
 
     The one check of ``validate`` and of every run, made before any numerics:
-    the config's shape, task and measure, then the name of each merged
-    parameter, whether the task reads it, its type and value, the task's
-    required ones, and the cross-parameter ranges.  Raises ConfigError
-    listing every problem; returns the parameters.
+    the config's shape, task and measure (the --measure flag, inline JSON or
+    a file path, over the config's; Lebesgue by default), then the name of
+    each merged parameter, whether the task reads it, its type and value, the
+    task's required ones, and the cross-parameter ranges.  Raises ConfigError
+    listing every problem, with the measure's own detail; returns the
+    parameters and the measure.
     """
-    problems = []
+    problems, detail = [], {}
     if not isinstance(cfg, dict):
         problems.append("config: expected a JSON object")
         cfg = {}
@@ -153,11 +154,17 @@ def _checked(cfg, task, flags):
     task = task or declared
     if task is None:
         problems.append("task: not declared in the config and no task subcommand given")
-    if "measure" in cfg:
-        try:
-            parse_measure(cfg["measure"])
-        except ConfigError as err:
-            problems.append(str(err))
+    try:
+        if not measure_flag:
+            obj = cfg.get("measure", {"variant": "lebesgue"})
+        elif measure_flag.lstrip().startswith("{"):
+            obj = _parse_json(measure_flag, "--measure")
+        else:
+            obj = _load_json(measure_flag)
+        measure = parse_measure(obj)
+    except ConfigError as err:
+        problems.append(str(err))
+        detail = err.detail
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         problems.append("parameters: expected a JSON object")
@@ -190,11 +197,12 @@ def _checked(cfg, task, flags):
         problems.append("parameters.anchor_angle, anchor_angles: set one of the two, not both")
     if task in _FAMILY and ok.get("a1", 1.0) == ok.get("a2", 0.0) == 0.0:
         problems.append("parameters.a1, a2: combo coefficients must not both vanish")
-    if task == "support" and ok.get("format") == "csv":
-        problems.append("parameters.format: support emits a JSON report; csv is not available")
+    formats = _RUNNERS[task][2] if task in _RUNNERS else _BOTH
+    if ok.get("format", formats[0]) not in formats:
+        problems.append(f"parameters.format: task '{task}' emits {formats[0].upper()} only")
     if problems:
-        raise ConfigError("; ".join(problems), diagnostics=problems)
-    return params
+        raise ConfigError("; ".join(problems), **detail, diagnostics=problems)
+    return params, measure
 
 
 def _family(params):
@@ -265,16 +273,18 @@ def _support(measure, params):
     return support_estimate(measure, _anchors(params), n_max, epsilon, n_min=params.get("n_min"))
 
 
-# task -> (compute, layout): the artifact is serialize.<layout>, looked up on
-# the module when the run writes it and rendered as its table or its document
+# task -> (compute, layout, formats): the artifact is serialize.<layout>, looked
+# up on the module when the run writes it and rendered as its table (csv) or its
+# document (json); the first declared format is the default
+_BOTH = ("csv", "json")
 _RUNNERS = {
-    "moments": (_moments, "moments"),
-    "schur": (_schur, "schur"),
-    "rule": (_rule, "rule"),
-    "zeros": (_zeros, "zero_rows"),
-    "interlace": (_interlace, "interlace"),
-    "fsequence": (_fsequence, "zero_rows"),
-    "support": (_support, "support"),
+    "moments": (_moments, "moments", _BOTH),
+    "schur": (_schur, "schur", _BOTH),
+    "rule": (_rule, "rule", _BOTH),
+    "zeros": (_zeros, "zero_rows", _BOTH),
+    "interlace": (_interlace, "interlace", _BOTH),
+    "fsequence": (_fsequence, "zero_rows", _BOTH),
+    "support": (_support, "support", ("json",)),
 }
 
 
@@ -299,19 +309,13 @@ def _run(args):
         sys.stdout.write("ok\n")
         return
     flags = {name: getattr(args, name) for name in PARAMS if getattr(args, name, None) is not None}
-    params = _checked(cfg, args.task, flags)
-    if args.measure:
-        text = args.measure
-        obj = _parse_json(text, "--measure") if text.lstrip().startswith("{") else _load_json(text)
-        measure = parse_measure(obj)
-    else:
-        measure = parse_measure(cfg["measure"]) if "measure" in cfg else Lebesgue()
+    params, measure = _checked(cfg, args.task, flags, args.measure)
     out = params.get("out")
     if out:
         _probe_out(out)
-    compute, layout = _RUNNERS[args.task]
+    compute, layout, formats = _RUNNERS[args.task]
     table, doc = getattr(serialize, layout)(compute(measure, params))
-    csv = params.get("format", "csv" if table else "json") == "csv"
+    csv = params.get("format", formats[0]) == "csv"
     text = serialize.csv_text(*table) if csv else serialize.json_text(doc)
     if out:
         with _open_out(out, "w") as fh:

@@ -134,10 +134,10 @@ ARC_DENSITIES = {
 }
 
 
-def _lookup(kind, name, catalog):
+def _lookup(kind, name, catalog, at):
     if name not in catalog:
         known = ", ".join(sorted(catalog))
-        raise ConfigError(f"unknown {kind} '{name}'; known names: {known}", name=name)
+        raise ConfigError(f"{at}.name: unknown {kind} '{name}'; known names: {known}", name=name)
     return catalog[name]
 
 
@@ -155,13 +155,13 @@ def finite_number(v) -> bool:
     return json_integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-def _checked_param(obj):
-    """measure.param as given: null, a finite number or an [re, im] pair of finite numbers."""
+def _checked_param(obj, at):
+    """<at>.param as given: null, a finite number or an [re, im] pair of finite numbers."""
     param = obj.get("param")
     if param is not None and not (finite_number(param) or isinstance(param, list)):
-        raise ConfigError("measure.param: must be a finite number or [re, im] pair")
+        raise ConfigError(f"{at}.param: must be a finite number or [re, im] pair")
     if isinstance(param, list) and (len(param) != 2 or not all(finite_number(v) for v in param)):
-        raise ConfigError("measure.param: [re, im] pair of finite numbers expected")
+        raise ConfigError(f"{at}.param: [re, im] pair of finite numbers expected")
     return param
 
 
@@ -169,53 +169,58 @@ def parse_measure(obj) -> MeasureSpec:
     """Build a MeasureSpec from its JSON object form.
 
     The variant tag selects the shape; every diagnostic names the offending
-    field so the CLI validate task can surface it verbatim.
+    field by its full path (``measure.components[0].measure.name``) so the
+    CLI validate task can surface it verbatim.
     """
+    return _parse(obj, "measure")
+
+
+def _parse(obj, at):
     if not isinstance(obj, dict):
-        raise ConfigError("measure must be a JSON object with a 'variant' tag")
+        raise ConfigError(f"{at} must be a JSON object with a 'variant' tag")
     variant = obj.get("variant")
     if variant == "lebesgue":
         return Lebesgue()
     if variant == "density":
         name = obj.get("name")
         if not isinstance(name, str):
-            raise ConfigError("measure.name: density name must be a string")
-        _lookup("density", name, DENSITIES)
-        param = _checked_param(obj)
+            raise ConfigError(f"{at}.name: density name must be a string")
+        _lookup("density", name, DENSITIES, at)
+        param = _checked_param(obj, at)
         if isinstance(param, list):
             param = complex(param[0], param[1])
         grid = obj.get("grid")
         if grid is not None and (not json_integer(grid) or grid <= 0):
-            raise ConfigError("measure.grid: must be a positive integer")
+            raise ConfigError(f"{at}.grid: must be a positive integer")
         if name == "bernstein_szego":
             if param is None:
-                raise ConfigError("measure.param: bernstein_szego requires a parameter")
+                raise ConfigError(f"{at}.param: bernstein_szego requires a parameter")
             if abs(complex(param)) >= 1.0:
-                raise ConfigError("measure.param: bernstein_szego parameter must satisfy |param| < 1")
+                raise ConfigError(f"{at}.param: bernstein_szego parameter must satisfy |param| < 1")
         return Density(name=name, param=param, grid=grid)
     if variant == "arc_density":
         name = obj.get("name")
         if not isinstance(name, str):
-            raise ConfigError("measure.name: arc density name must be a string")
-        _lookup("arc density", name, ARC_DENSITIES)
+            raise ConfigError(f"{at}.name: arc density name must be a string")
+        _lookup("arc density", name, ARC_DENSITIES, at)
         arc = obj.get("arc")
         if (
             not isinstance(arc, (list, tuple))
             or len(arc) != 2
             or not all(finite_number(v) for v in arc)
         ):
-            raise ConfigError("measure.arc: expected [lo, hi] in radians, finite numbers")
+            raise ConfigError(f"{at}.arc: expected [lo, hi] in radians, finite numbers")
         lo, hi = float(arc[0]), float(arc[1])
         if not lo < hi or hi - lo > TWO_PI + 1e-12:
-            raise ConfigError("measure.arc: need lo < hi and hi - lo <= 2*pi")
+            raise ConfigError(f"{at}.arc: need lo < hi and hi - lo <= 2*pi")
         panels = obj.get("panels")
         if panels is not None and (not json_integer(panels) or panels <= 0):
-            raise ConfigError("measure.panels: must be a positive integer")
-        return ArcDensity(name=name, arc=(lo, hi), param=_checked_param(obj), panels=panels)
+            raise ConfigError(f"{at}.panels: must be a positive integer")
+        return ArcDensity(name=name, arc=(lo, hi), param=_checked_param(obj, at), panels=panels)
     if variant == "atomic":
         atoms = obj.get("atoms")
         if not isinstance(atoms, (list, tuple)) or not atoms:
-            raise ConfigError("measure.atoms: expected a nonempty list of [angle, weight]")
+            raise ConfigError(f"{at}.atoms: expected a nonempty list of [angle, weight]")
         parsed = []
         for i, atom in enumerate(atoms):
             if (
@@ -223,34 +228,34 @@ def parse_measure(obj) -> MeasureSpec:
                 or len(atom) != 2
                 or not all(finite_number(v) for v in atom)
             ):
-                raise ConfigError(f"measure.atoms[{i}]: expected [angle, weight], finite numbers")
+                raise ConfigError(f"{at}.atoms[{i}]: expected [angle, weight], finite numbers")
             angle, weight = float(atom[0]), float(atom[1])
             if weight <= 0:
-                raise ConfigError(f"measure.atoms[{i}]: weight must be strictly positive")
+                raise ConfigError(f"{at}.atoms[{i}]: weight must be strictly positive")
             parsed.append((angle, weight))
         folded = fold_angle(np.array([a for a, _ in parsed]))
         if len(np.unique(np.round(folded, 12))) != len(parsed):
-            raise ConfigError("measure.atoms: atom angles must be distinct")
+            raise ConfigError(f"{at}.atoms: atom angles must be distinct")
         return Atomic(atoms=tuple(parsed))
     if variant == "mixture":
         comps = obj.get("components")
         if not isinstance(comps, (list, tuple)) or not comps:
-            raise ConfigError("measure.components: expected a nonempty list")
+            raise ConfigError(f"{at}.components: expected a nonempty list")
         parsed = []
         for i, comp in enumerate(comps):
             if not isinstance(comp, dict) or "weight" not in comp or "measure" not in comp:
                 raise ConfigError(
-                    f"measure.components[{i}]: expected an object with 'weight' and 'measure'"
+                    f"{at}.components[{i}]: expected an object with 'weight' and 'measure'"
                 )
             weight = comp["weight"]
             if not finite_number(weight) or weight <= 0:
                 raise ConfigError(
-                    f"measure.components[{i}].weight: must be a finite, strictly positive number"
+                    f"{at}.components[{i}].weight: must be a finite, strictly positive number"
                 )
-            parsed.append((float(weight), parse_measure(comp["measure"])))
+            parsed.append((float(weight), _parse(comp["measure"], f"{at}.components[{i}].measure")))
         return Mixture(components=tuple(parsed))
     raise ConfigError(
-        "measure.variant: expected one of lebesgue, density, arc_density, atomic, mixture",
+        f"{at}.variant: expected one of lebesgue, density, arc_density, atomic, mixture",
         variant=variant,
     )
 
@@ -376,7 +381,7 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
     if isinstance(spec, Lebesgue):
         spec = Density(name="uniform")
     if isinstance(spec, Density):
-        fn = _lookup("density", spec.name, DENSITIES)
+        fn = _lookup("density", spec.name, DENSITIES, "measure")
         rho = lambda t: fn(t, spec.param)
         if periodic:
             M = scale * max(int(spec.grid or 0), 8 * K, 512)
@@ -385,7 +390,7 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
             return theta, w / w.sum()
         lo, hi, P = 0.0, TWO_PI, max(K, 32, -(-int(spec.grid or 0) // _GL_POINTS))
     elif isinstance(spec, ArcDensity):
-        fn = _lookup("arc density", spec.name, ARC_DENSITIES)
+        fn = _lookup("arc density", spec.name, ARC_DENSITIES, "measure")
         lo, hi = spec.arc
         rho = lambda t: fn(t, lo, hi, spec.param)
         P = max(int(spec.panels or 0), K, 32)

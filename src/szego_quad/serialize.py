@@ -22,9 +22,8 @@ def fmt_float(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _render(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, level):
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -36,14 +35,14 @@ def _render(obj, indent, level):
     if isinstance(obj, str):
         return _json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_render(v, indent, level + 1) for v in obj]
+        items = [_render(v, level + 1) for v in obj]
         if not items:
             return "[]"
         body = (",\n" + pad_in).join(items)
         return "[\n" + pad_in + body + "\n" + pad + "]"
     if isinstance(obj, dict):
         items = [
-            _json.dumps(str(k)) + ": " + _render(v, indent, level + 1) for k, v in obj.items()
+            _json.dumps(str(k)) + ": " + _render(v, level + 1) for k, v in obj.items()
         ]
         if not items:
             return "{}"
@@ -52,8 +51,8 @@ def _render(obj, indent, level):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_text(obj, indent=2) -> str:
-    return _render(obj, indent, 0) + "\n"
+def json_text(obj) -> str:
+    return _render(obj, 0) + "\n"
 
 
 def _cell(v) -> str:

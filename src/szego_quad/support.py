@@ -5,7 +5,8 @@ thin out elsewhere: away from the support only the anchor can recur, and
 every open arc of the complement carries at most one zero per degree.
 Intersecting epsilon-dilated zero sets across degrees (and across several
 anchors, removing each anchor's own recurring point) therefore sandwiches
-the support between the estimate and its 2 epsilon thickening.
+the support between the estimate and its 2 epsilon thickening; one counting
+sweep over the ends of the dilated sets and removed balls finds it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .sof import SofFamilySpec, SofInstance, sof_members
 
 _EDGE_TOL = 1e-12
 _SLIVER = 1e-9
+_MATCH = 1e-6
 
 
 def _drop_slivers(arcs):
-    # boundary subtraction can leave zero-width float residue; genuine
+    # nearly-touching piece ends can leave float-width residue; genuine
     # accumulation arcs have width on the order of 2 epsilon
     return [(lo, hi) for lo, hi in arcs if hi - lo >= _SLIVER]
 
@@ -62,35 +64,24 @@ def _merge(pieces):
     return [(lo, hi) for lo, hi in out]
 
 
-def _intersect(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+def _covered(sets, holes):
+    """Segments of [0, 2 pi] that every set covers and no hole does.
 
-
-def _complement(a):
-    out = []
-    cursor = 0.0
-    for lo, hi in a:
-        if lo > cursor:
-            out.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < TWO_PI:
-        out.append((cursor, TWO_PI))
-    return out
-
-
-def _subtract(a, b):
-    return _intersect(a, _complement(b))
+    Sets and holes are merged split-form pieces; the circle counts as one
+    more set.  One sweep over all piece ends counts +1 over a set's piece and
+    minus the number of sets over a hole's; the maximal runs where the count
+    equals the number of sets are returned, so every end is an input float.
+    """
+    sets = [[(0.0, TWO_PI)], *sets]
+    need = len(sets)
+    pieces = [(lo, hi, 1) for s in sets for lo, hi in s] + [(lo, hi, -need) for lo, hi in holes]
+    lo, hi, step = np.array(pieces).T
+    ends, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    count = np.cumsum(np.bincount(at, np.concatenate((step, -step)), ends.size))
+    inside = np.concatenate(([False], count[:-1] == need, [False]))
+    edges = np.flatnonzero(np.diff(inside)).tolist()
+    ends = ends.tolist()
+    return [(ends[i], ends[j]) for i, j in zip(edges[::2], edges[1::2])]
 
 
 def _rejoin_wrap(a):
@@ -130,12 +121,10 @@ class ZeroCloud:
     eventually_common: np.ndarray
 
 
-def zero_cloud(
-    table: OpucTable, family: SofFamilySpec, orders, omegas=None, eps_match=1e-6
-) -> ZeroCloud:
+def zero_cloud(table: OpucTable, family: SofFamilySpec, orders, omegas=None) -> ZeroCloud:
     """Collect the zero sets of the family for every requested degree.
 
-    The eventually-common set holds the points that recur (within eps_match)
+    The eventually-common set holds the points that recur (within 1e-6)
     in every computed degree; with finitely many degrees this is the honest
     finite-order proxy for the set of zeros shared by all high degrees.
     The members come from one sof_members call, so one recurrence sweep at
@@ -152,10 +141,10 @@ def zero_cloud(
     common = []
     for theta in candidates:
         if all(
-            len(zs) > 0 and float(np.min(circular_distance(zs, theta))) <= eps_match
+            len(zs) > 0 and float(np.min(circular_distance(zs, theta))) <= _MATCH
             for zs in sets
         ):
-            if not common or float(np.min(circular_distance(np.array(common), theta))) > eps_match:
+            if not common or float(np.min(circular_distance(np.array(common), theta))) > _MATCH:
                 common.append(float(theta))
     return ZeroCloud(
         orders=orders,
@@ -173,14 +162,6 @@ def _radius(epsilon):
     return epsilon
 
 
-def _dilated_intersection(zero_sets, epsilon):
-    """Split-form intersection of the epsilon-dilations of the zero sets."""
-    acc = [(0.0, TWO_PI)]
-    for zs in zero_sets:
-        acc = _intersect(acc, _eps_union(zs, epsilon))
-    return acc
-
-
 def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     """Arcs where zeros keep landing: intersection over degrees n >= n_min of
     the epsilon-dilated zero sets, merged into maximal arcs.
@@ -194,7 +175,7 @@ def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     used = [zs for n, zs in zip(cloud.orders, cloud.zero_sets) if n >= n_min]
     if not used:
         raise ValueError(f"no computed degrees at or above n_min = {n_min}")
-    return _rejoin_wrap(_drop_slivers(_dilated_intersection(used, epsilon)))
+    return _rejoin_wrap(_drop_slivers(_covered([_eps_union(zs, epsilon) for zs in used], [])))
 
 
 def gap_zero_census(cloud: ZeroCloud, gap) -> np.ndarray:
@@ -222,17 +203,16 @@ def support_estimate(
 ) -> SupportEstimate:
     """Estimate the support of the measure from anchored first-kind zeros.
 
-    One pass over every anchor and every read degree: the epsilon-dilated
-    zero sets of all of them are intersected, and the epsilon-balls of the
-    isolated anchors are removed from the result.  An anchor is isolated
-    when, at every read degree, it is the only zero within 2 epsilon of
-    itself: an isolated recurring point is the anchor's own zero and not
-    part of the support.  Removing the union of the balls from the one
-    intersection equals intersecting the per-anchor estimates with each
-    anchor's ball removed.  Only the degrees n_min..n_max are read (n_min
-    defaults to n_max // 2), so only they are built, each anchor's family
-    from one recurrence sweep.  A bad epsilon, n_max or n_min raises
-    ValueError before any numerics.
+    One sweep over every anchor and every read degree: the estimate is the
+    set that every epsilon-dilated zero set covers and no epsilon-ball of an
+    isolated anchor does.  An anchor is isolated when, at every read degree,
+    it is the only zero within 2 epsilon of itself: an isolated recurring
+    point is the anchor's own zero and not part of the support.  Removing
+    the union of the balls from the one intersection equals intersecting the
+    per-anchor estimates with each anchor's ball removed.  Only the degrees
+    n_min..n_max are read (n_min defaults to n_max // 2), so only they are
+    built, each anchor's family from one recurrence sweep.  A bad epsilon,
+    n_max or n_min raises ValueError before any numerics.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -249,14 +229,14 @@ def support_estimate(
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
     orders = range(max(1, n_min), n_max + 1)
     families = [sof_members(table, SofFamilySpec.f1(w), orders) for w in anchors]
-    est = _dilated_intersection((m.zeros for f in families for m in f), epsilon)
     angles = [f[0].anchor_angle for f in families]
     isolated = [
         angle
         for angle, f in zip(angles, families)
         if all(np.count_nonzero(circular_distance(m.zeros, angle) <= 2 * epsilon) == 1 for m in f)
     ]
-    est = _subtract(est, _eps_union(np.array(isolated), epsilon))
+    dilated = [_eps_union(m.zeros, epsilon) for f in families for m in f]
+    est = _covered(dilated, _eps_union(np.array(isolated), epsilon))
     return SupportEstimate(
         arcs=tuple(_rejoin_wrap(_drop_slivers(est))),
         epsilon=epsilon,

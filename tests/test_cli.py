@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from szego_quad.cli import console_entry, main
+from szego_quad import Lebesgue, serialize
+from szego_quad.cli import _RUNNERS, console_entry, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 NAN_ATOM = '{"variant": "atomic", "atoms": [[0.0, NaN], [1.0, 1.0]]}'
@@ -320,6 +321,50 @@ def test_support_rejects_csv(capsys):
     assert "JSON" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("task", sorted(_RUNNERS))
+def test_csv_is_declared_exactly_for_artifacts_with_a_table(task):
+    compute, layout, formats = _RUNNERS[task]
+    params = {"n": 2, "n_max": 3, "epsilon": 0.5}
+    table, _ = getattr(serialize, layout)(compute(Lebesgue(), params))
+    assert ("csv" in formats) == (table is not None)
+    assert "json" in formats
+
+
+def test_bad_measure_is_listed_with_the_other_problems(capsys):
+    rc, out, err = run(capsys, ["rule", "--n", "0", "--measure", '{"variant": "nope"}'])
+    assert (rc, out) == (2, "")
+    diags = json.loads(err)["diagnostics"]
+    assert diags[0].startswith("measure.variant:")
+    assert diags[1:] == ["parameters.n: must be at least 1"]
+
+
+def test_measure_flag_replaces_a_bad_config_measure(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    bad = {"task": "rule", "measure": {"variant": "nope"}, "parameters": {"n": 4}}
+    cfg.write_text(json.dumps(bad))
+    rc, _, err = run(capsys, ["validate", "--config", str(cfg)])
+    assert rc == 2
+    assert json.loads(err)["diagnostics"][0].startswith("measure.variant:")
+    lebesgue = '{"variant": "lebesgue"}'
+    rc, out, err = run(capsys, ["rule", "--config", str(cfg), "--measure", lebesgue])
+    assert (rc, err) == (0, "")
+    rc, out_lebesgue, _ = run(capsys, ["rule", "--n", "4"])
+    assert out == out_lebesgue
+
+
+@pytest.mark.parametrize(
+    "measure, field",
+    [('{"variant": "nope"}', "measure.variant:"), ('{"variant": "lebesgue"', "invalid JSON")],
+)
+def test_bad_measure_flag_alone_carries_diagnostics(capsys, measure, field):
+    rc, out, err = run(capsys, ["moments", "--n", "4", "--measure", measure])
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert len(doc["diagnostics"]) == 1
+    assert doc["diagnostics"][0].startswith(field)
+    assert doc["message"] == doc["diagnostics"][0]
+
+
 @pytest.mark.parametrize(
     "argv, params",
     [
@@ -364,6 +409,10 @@ def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
                                            "anchor_angles": [5.0]}},
         {"task": "fsequence", "parameters": {"n_max": 4, "anchor_angle": 0.5,
                                              "anchor_angles": [1.0]}},
+        {"task": "rule", "measure": {"variant": "nope"}, "parameters": {"n": 0}},
+        {"task": "support", "measure": {"variant": "mixture", "components": [
+            {"weight": 1, "measure": {"variant": "density", "name": 7}}]},
+         "parameters": {"n_max": 8, "epsilon": 0.3}},
     ],
 )
 def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):

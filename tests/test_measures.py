@@ -92,6 +92,10 @@ def test_parse_unknown_density_lists_catalog():
     assert "bernstein_szego" in str(exc.value)
 
 
+def mixture_of(*measures):
+    return {"variant": "mixture", "components": [{"weight": 1, "measure": m} for m in measures]}
+
+
 def test_parse_field_diagnostics():
     bad = [
         ({"variant": "density", "name": 7}, "measure.name"),
@@ -122,6 +126,25 @@ def test_parse_field_diagnostics():
                 "components": [{"weight": 0.0, "measure": {"variant": "lebesgue"}}],
             },
             "measure.components[0].weight",
+        ),
+        # a nested measure's diagnostics name the path down to it
+        (mixture_of({"variant": "density", "name": 7}), "measure.components[0].measure.name:"),
+        ({"variant": "density", "name": "gaussian"}, "measure.name: unknown density"),
+        (
+            mixture_of({"variant": "arc_density", "name": "gaussian", "arc": [0.0, 1.0]}),
+            "measure.components[0].measure.name: unknown arc density",
+        ),
+        (
+            mixture_of({"variant": "lebesgue"}, {"variant": "arc_density", "arc": [2.0, 1.0]}),
+            "measure.components[1].measure.name:",
+        ),
+        (
+            mixture_of({"variant": "arc_density", "name": "uniform", "arc": [2.0, 1.0]}),
+            "measure.components[0].measure.arc:",
+        ),
+        (
+            mixture_of(mixture_of({"variant": "atomic", "atoms": [[0.0]]})),
+            "measure.components[0].measure.components[0].measure.atoms[0]:",
         ),
     ]
     for obj, field in bad:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from szego_quad import (
     ArcDensity,
@@ -200,6 +201,64 @@ def test_support_estimate_guards():
         support_estimate(Lebesgue(), [], 8, 0.1)
 
 
+# The pairwise interval algebra that support_estimate and accumulation_set used
+# before the one coverage sweep: the references below are spelled in it.
+
+
+def intersect(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def subtract(a, b):
+    complement, cursor = [], 0.0
+    for lo, hi in b:
+        if lo > cursor:
+            complement.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < TWO_PI:
+        complement.append((cursor, TWO_PI))
+    return intersect(a, complement)
+
+
+def pairwise_covered(sets, holes):
+    acc = [(0.0, TWO_PI)]
+    for pieces in sets:
+        acc = intersect(acc, pieces)
+    return subtract(acc, holes)
+
+
+# angles on a dyadic grid give exactly touching ball ends; the floats give the rest
+ANGLES = st.one_of(st.integers(-16, 56).map(lambda k: k / 8), st.floats(-7.0, 14.0))
+RADII = st.one_of(st.sampled_from([0.0625, 0.125, 0.25, math.pi, 4.0]), st.floats(1e-3, 3.5))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(ANGLES, max_size=10), max_size=6), st.lists(ANGLES, max_size=4), RADII)
+@example([[0.25, 0.5], [0.75]], [0.5], 0.125)  # touching ends in one set and across sets
+@example([[1.0], []], [], 0.25)  # an empty set covers nothing
+@example([], [2.0, 6.25], 0.125)  # no sets: the circle less the holes
+@example([[1.0, 4.0], [2.0]], [3.0], 4.0)  # a radius past pi covers the circle
+@example([[0.0], [6.25]], [], 0.125)  # pieces at both ends of the cut
+def test_covered_equals_the_pairwise_algebra(zero_sets, isolated, eps):
+    # the pieces come through _eps_union, so each set is merged as in support_estimate
+    sets = [sup._eps_union(np.array(zs, dtype=float), eps) for zs in zero_sets]
+    holes = sup._eps_union(np.array(isolated, dtype=float), eps)
+    got = sup._covered(sets, holes)
+    assert got == pairwise_covered(sets, holes)
+    assert all(type(x) is float for piece in got for x in piece)
+
+
 def all_degree_estimate(spec, anchors, n_max, epsilon):
     """support_estimate spelled out on zero clouds of every degree 1..n_max: one
     intersection of the epsilon-dilated zero sets of the degrees n_max // 2..n_max
@@ -211,11 +270,11 @@ def all_degree_estimate(spec, anchors, n_max, epsilon):
         cloud = zero_cloud(table, SofFamilySpec.f1(w), range(1, n_max + 1))
         used = [zs for n, zs in zip(cloud.orders, cloud.zero_sets) if n >= n_min]
         for zs in used:
-            est = sup._intersect(est, sup._eps_union(zs, epsilon))
+            est = intersect(est, sup._eps_union(zs, epsilon))
         near = [circular_distance(zs, cloud.anchor_angle) <= 2 * epsilon for zs in used]
         if all(np.count_nonzero(hits) == 1 for hits in near):
             isolated.append(cloud.anchor_angle)
-    est = sup._subtract(est, sup._eps_union(np.array(isolated), epsilon))
+    est = subtract(est, sup._eps_union(np.array(isolated), epsilon))
     return tuple(sup._rejoin_wrap(sup._drop_slivers(est)))
 
 
@@ -234,8 +293,8 @@ def per_anchor_estimate(spec, anchors, n_max, epsilon):
         acc = sup._merge(pieces)
         near = [circular_distance(zs, cloud.anchor_angle) <= 2 * epsilon for zs in cloud.zero_sets]
         if all(np.count_nonzero(hits) == 1 for hits in near):
-            acc = sup._subtract(acc, sup._eps_union(np.array([cloud.anchor_angle]), epsilon))
-        est = acc if est is None else sup._intersect(est, acc)
+            acc = subtract(acc, sup._eps_union(np.array([cloud.anchor_angle]), epsilon))
+        est = acc if est is None else intersect(est, acc)
     return tuple(sup._rejoin_wrap(sup._drop_slivers(est)))
 
 
