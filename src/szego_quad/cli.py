@@ -83,12 +83,18 @@ def _parse_json(text, source, **detail):
         ) from None
 
 
-def _load_json(path):
+def _load_json(path, flag):
+    """The JSON document in the file that flag names; a file that cannot be
+    read (missing, a directory, not UTF-8) is a ConfigError naming the flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}", path=path) from None
+    except OSError as err:
+        message = f"{flag}: cannot read '{path}': {err.strerror or err}"
+        raise ConfigError(message, path=path) from None
+    except UnicodeDecodeError as err:
+        message = f"{flag}: cannot read '{path}': not UTF-8 at byte {err.start}"
+        raise ConfigError(message, path=path) from None
     return _parse_json(text, path, path=path)
 
 
@@ -160,7 +166,7 @@ def _checked(cfg, task, flags, measure_flag=None):
         elif measure_flag.lstrip().startswith("{"):
             obj = _parse_json(measure_flag, "--measure")
         else:
-            obj = _load_json(measure_flag)
+            obj = _load_json(measure_flag, "--measure")
         measure = parse_measure(obj)
     except ConfigError as err:
         problems.append(str(err))
@@ -301,7 +307,7 @@ def _emit_error(err: SzegoQuadError):
 
 
 def _run(args):
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = _load_json(args.config, "--config") if args.config else {}
     if args.task == "validate":
         if not args.config:
             raise ConfigError("validate requires --config")

@@ -514,6 +514,24 @@ def test_config_file_missing_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate", "--config"], ["rule", "--config"], ["rule", "--n", "3", "--measure"]]
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("nope.json", "No such file"), (".", "Is a directory"), ("latin1.json", "not UTF-8 at byte 10")],
+)
+def test_unreadable_file_names_its_flag(capsys, tmp_path, argv, target, reason):
+    (tmp_path / "latin1.json").write_bytes(b'{"task": "\xe9"}')
+    path = str(tmp_path / target)
+    rc, out, err = run(capsys, [*argv, path])
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"].startswith(f"{argv[-1]}: cannot read '{path}': {reason}")
+    assert doc["path"] == path
+
+
 def test_config_invalid_json_reports_position(capsys, tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"task": "rule",}')

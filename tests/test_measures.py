@@ -236,6 +236,30 @@ def test_moments_conjugate_symmetry():
         assert m.get(-k) == np.conj(m.get(k))
 
 
+def arc_moments_closed_form(name, lo, hi, K):
+    """c_0..c_K of the uniform or hann density on [lo, hi]: with
+    I(s) = integral_0^L e^{ist} dt = L e^{isL/2} sinc(sL / 2 pi), the uniform
+    moment is I(k) / L and the hann moment (I(k) - (I(k + w) + I(k - w)) / 2) / L,
+    w = 2 pi / L, both times e^{ik lo}."""
+    L, k = hi - lo, np.arange(K + 1)
+    I = lambda s: L * np.exp(0.5j * s * L) * np.sinc(s * L / (2 * np.pi))
+    w = 2 * np.pi / L
+    c = I(k) if name == "uniform" else I(k) - 0.5 * (I(k + w) + I(k - w))
+    return np.exp(1j * k * lo) * c / L
+
+
+@pytest.mark.parametrize("name", ["uniform", "hann"])
+@pytest.mark.parametrize("width", [0.5, 1.0, np.pi, 2 * np.pi - 0.1])
+@pytest.mark.parametrize("K", [8, 16, 32, 64, 128])
+def test_arc_panels_integrate_moments_to_rounding(name, width, K):
+    # the level-0 panels alone, without the doubled grid: each panel's phase
+    # span stays under 2 pi, where the panel rule is exact to rounding
+    lo = 0.3
+    theta, weights = meas._discretize(ArcDensity(name, (lo, lo + width)), K, 0)
+    c = np.exp(1j * np.outer(np.arange(K + 1), theta)) @ weights
+    assert np.max(np.abs(c - arc_moments_closed_form(name, lo, lo + width, K))) < 1e-13
+
+
 def test_moment_range_exceeded():
     m = moments(Lebesgue(), 4)
     with pytest.raises(MomentRangeExceeded) as exc:

@@ -193,6 +193,20 @@ def test_perturbed_nodes_break_exactness(rng):
     assert _exactness_residual(m, angles, weights, n) > 1e-6
 
 
+@pytest.mark.parametrize("n", [6, 33, 64, 256])
+def test_exactness_residual_equals_the_full_window(rng, n):
+    # half the window in row blocks: the defect at -k is the conjugate of the
+    # one at k, bit for bit (n = 33 in fixed blocks of 32 leaves a 1-row block)
+    schur = random_schur(rng, n)
+    table = build_opuc(schur, n)
+    m = moments_from_schur(schur, n)
+    rule = make_rule(table, m, make_pop(table, n, 1.0, 1.0))
+    ks = np.arange(-(n - 1), n)
+    vals = np.exp(1j * np.outer(ks, rule.node_angles)) @ rule.weights
+    full = float(np.max(np.abs(vals - m.window(-(n - 1), n - 1))))
+    assert rule.exactness_residual == full
+
+
 def test_exactness_stops_at_window_edge():
     # order-n rule cannot integrate z^n for a measure with nonzero c_n
     spec = Density(name="bernstein_szego", param=0.5)
