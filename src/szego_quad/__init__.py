@@ -4,7 +4,6 @@ and measure-support estimation on the unit circle."""
 from .circle import TWO_PI, circular_distance, fold_angle, half_power, in_open_arc
 from .errors import (
     ConfigError,
-    DegenerateAnchor,
     IntegrationResolution,
     ModulusMismatch,
     MomentRangeExceeded,
@@ -30,7 +29,6 @@ from .measures import (
     christoffel_moments,
     inner_product,
     measure_integral,
-    measure_to_dict,
     moments,
     moments_from_schur,
     parse_measure,
@@ -52,12 +50,9 @@ from .quadrature import (
     InvariantPop,
     QuadratureRule,
     circle_zero_angles,
-    discrete_measure,
     make_pop,
     make_rule,
-    pop_zeros,
     rule_from_sof,
-    weak_convergence_probe,
     weights_via_integral,
 )
 from .sof import (
@@ -78,7 +73,6 @@ from .support import (
     accumulation_set,
     gap_zero_census,
     point_in_arcs,
-    sine_pair_residual,
     support_estimate,
     zero_cloud,
 )

@@ -54,11 +54,6 @@ class ZeroCountMismatch(SzegoQuadError):
     code = "ZeroCountMismatch"
 
 
-class DegenerateAnchor(SzegoQuadError):
-    # never raised (Phi_n, Omega_n have no zeros on the circle); the code stays published
-    code = "DegenerateAnchor"
-
-
 class ZeroCoefficient(SzegoQuadError):
     code = "ZeroCoefficient"
 

@@ -53,6 +53,8 @@ _GL_POINTS = 16
 # |sin(theta / 2)| at 0 sits on a panel edge of the full circle, so it
 # integrates to 1e-12
 _INTEGRAL_PANELS = 128
+# atoms closer than this on the circle are one point
+_ATOM_GAP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +241,9 @@ def _parse(obj, at):
             if weight <= 0:
                 raise ConfigError(f"{at}.atoms[{i}]: weight must be strictly positive")
             parsed.append((angle, weight))
-        folded = fold_angle(np.array([a for a, _ in parsed]))
-        if len(np.unique(np.round(folded, 12))) != len(parsed):
+        folded = np.sort(fold_angle(np.array([a for a, _ in parsed])))
+        # distinct on the circle: every gap, the one across the cut included
+        if np.diff(folded, append=folded[0] + TWO_PI).min() <= _ATOM_GAP:
             raise ConfigError(f"{at}.atoms: atom angles must be distinct")
         return Atomic(atoms=tuple(parsed))
     if variant == "mixture":
@@ -264,36 +267,6 @@ def _parse(obj, at):
         f"{at}.variant: expected one of lebesgue, density, arc_density, atomic, mixture",
         variant=variant,
     )
-
-
-def measure_to_dict(spec: MeasureSpec) -> dict:
-    if isinstance(spec, Lebesgue):
-        return {"variant": "lebesgue"}
-    if isinstance(spec, Density):
-        out = {"variant": "density", "name": spec.name}
-        if spec.param is not None:
-            p = complex(spec.param)
-            out["param"] = p.real if p.imag == 0 else [p.real, p.imag]
-        if spec.grid is not None:
-            out["grid"] = spec.grid
-        return out
-    if isinstance(spec, ArcDensity):
-        out = {"variant": "arc_density", "name": spec.name, "arc": list(spec.arc)}
-        if spec.param is not None:
-            out["param"] = spec.param
-        if spec.panels is not None:
-            out["panels"] = spec.panels
-        return out
-    if isinstance(spec, Atomic):
-        return {"variant": "atomic", "atoms": [list(a) for a in spec.atoms]}
-    if isinstance(spec, Mixture):
-        return {
-            "variant": "mixture",
-            "components": [
-                {"weight": w, "measure": measure_to_dict(m)} for w, m in spec.components
-            ],
-        }
-    raise TypeError(f"not a measure spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------

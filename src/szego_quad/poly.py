@@ -134,10 +134,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "low", int(self.low))
 
-    @classmethod
-    def from_polynomial(cls, p: ComplexPolynomial, shift=0):
-        return cls(p.coeffs, shift)
-
     @property
     def high(self):
         return self.low + len(self.coeffs) - 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circle import TWO_PI, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch
-from .measures import Atomic, MomentTable, measure_integral
+from .measures import MomentTable
 from .opuc import OpucTable, SchurSequence, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
@@ -256,11 +256,6 @@ def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.nda
     return out
 
 
-def discrete_measure(rule: QuadratureRule) -> Atomic:
-    """The rule viewed as an atomic measure, one atom per node."""
-    return Atomic(atoms=tuple((float(t), float(w)) for t, w in zip(rule.node_angles, rule.weights)))
-
-
 TEST_FUNCTIONS = {
     "one": lambda theta: np.ones_like(np.asarray(theta, dtype=float)),
     "z_plus_zinv": lambda theta: 2.0 * np.cos(theta),
@@ -276,14 +271,3 @@ def resolve_test_function(fn):
     except KeyError:
         known = ", ".join(sorted(TEST_FUNCTIONS))
         raise ValueError(f"unknown test function '{fn}'; known names: {known}") from None
-
-
-def weak_convergence_probe(spec, rules, test_fn) -> np.ndarray:
-    """|rule applied to F minus the measure integral of F| for each rule.
-
-    F is a built-in name from TEST_FUNCTIONS or any continuous real function
-    of the angle whose reference integral the panel quadrature can resolve.
-    """
-    fn = resolve_test_function(test_fn)
-    ref = measure_integral(spec, fn)
-    return np.array([abs(rule.apply_theta(fn) - ref) for rule in rules])

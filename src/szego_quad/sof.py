@@ -168,12 +168,6 @@ class SofInstance:
         vals = np.ones(theta.shape) if self.alpha is None else self._value_slope(theta)[0]
         return float(vals) if theta.ndim == 0 else vals
 
-    def as_pop_pair(self):
-        """(alpha, beta) such that numerator = alpha Phi_n + beta Phi_n*."""
-        if self.n != self.index:
-            raise ValueError(f"numerator degree {self.n} is below the index {self.index}")
-        return -1j * np.conj(self.alpha), 1j * self.alpha
-
 
 def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
     """First-kind member of degree n; the anchor w is always among its zeros."""

@@ -18,12 +18,10 @@ import numpy as np
 from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .measures import MeasureSpec, schur_from_measure
 from .opuc import OpucTable, build_opuc
-from .quadrature import QuadratureRule
-from .sof import SofFamilySpec, SofInstance, sof_members
+from .sof import SofFamilySpec, sof_members
 
 _EDGE_TOL = 1e-12
 _SLIVER = 1e-9
-_MATCH = 1e-6
 
 
 def _drop_slivers(arcs):
@@ -118,15 +116,11 @@ class ZeroCloud:
     zero_sets: tuple
     omega0: float
     anchor_angle: float
-    eventually_common: np.ndarray
 
 
 def zero_cloud(table: OpucTable, family: SofFamilySpec, orders, omegas=None) -> ZeroCloud:
     """Collect the zero sets of the family for every requested degree.
 
-    The eventually-common set holds the points that recur (within 1e-6)
-    in every computed degree; with finitely many degrees this is the honest
-    finite-order proxy for the set of zeros shared by all high degrees.
     The members come from one sof_members call, so one recurrence sweep at
     the anchor serves every degree.  omegas is accepted and not read:
     sof_members takes Omega_n(w) from the recurrence.
@@ -136,22 +130,11 @@ def zero_cloud(table: OpucTable, family: SofFamilySpec, orders, omegas=None) -> 
         raise ValueError("need at least one degree")
     if max(orders) > table.order:
         raise ValueError(f"degree {max(orders)} exceeds table order {table.order}")
-    sets = tuple(inst.zeros for inst in sof_members(table, family, orders))
-    candidates = sets[-1]
-    common = []
-    for theta in candidates:
-        if all(
-            len(zs) > 0 and float(np.min(circular_distance(zs, theta))) <= _MATCH
-            for zs in sets
-        ):
-            if not common or float(np.min(circular_distance(np.array(common), theta))) > _MATCH:
-                common.append(float(theta))
     return ZeroCloud(
         orders=orders,
-        zero_sets=sets,
+        zero_sets=tuple(inst.zeros for inst in sof_members(table, family, orders)),
         omega0=family.omega0,
         anchor_angle=family.anchor_angle,
-        eventually_common=np.array(common),
     )
 
 
@@ -244,25 +227,3 @@ def support_estimate(
         n_max=n_max,
         anchor_angles=tuple(angles),
     )
-
-
-def sine_pair_residual(member: SofInstance, theta1, theta2, rule: QuadratureRule) -> float:
-    """Vanishing test for the split-kernel sum over a finer rule.
-
-    Computes sum_k H_k |P(e^{i theta_k})|^2 / (sin((theta_k - theta1)/2)
-    sin((theta_k - theta2)/2)) normalized by the sum of absolute terms, with
-    |P|^2 = f^2 from the member's recurrence value (SofInstance.value); for
-    theta1, theta2 two zeros of the member's degree-n invariant numerator P
-    and a rule of order above n, the signed sum vanishes.  Nodes coinciding
-    with theta1 or theta2 are skipped (their limit contribution is zero).
-    """
-    tk = rule.node_angles
-    s1 = np.sin(0.5 * (tk - float(theta1)))
-    s2 = np.sin(0.5 * (tk - float(theta2)))
-    keep = (np.abs(s1) > 1e-7) & (np.abs(s2) > 1e-7)
-    vals = member.value(tk[keep]) ** 2
-    terms = rule.weights[keep] * vals / (s1[keep] * s2[keep])
-    denom = float(np.sum(np.abs(terms)))
-    if denom == 0.0:
-        return 0.0
-    return abs(float(np.sum(terms))) / denom

@@ -1,6 +1,5 @@
 """Measure declarations, moments, Schur extraction, Christoffel modification."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -27,7 +26,6 @@ from szego_quad import (
     christoffel_moments,
     inner_product,
     measure_integral,
-    measure_to_dict,
     moments,
     moments_from_schur,
     parse_measure,
@@ -46,31 +44,64 @@ ARC = (np.pi / 2, 3 * np.pi / 2)
 
 
 def test_parse_round_trips():
-    objs = [
-        {"variant": "lebesgue"},
-        {"variant": "density", "name": "one_minus_cos"},
-        {"variant": "density", "name": "bernstein_szego", "param": 0.5, "grid": 2048},
-        {"variant": "arc_density", "name": "uniform", "arc": [1.0, 3.0]},
-        {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "panels": 64},
-        {"variant": "atomic", "atoms": [[0.0, 0.5], [3.14, 0.5]]},
-        {
-            "variant": "mixture",
-            "components": [
-                {"weight": 0.7, "measure": {"variant": "lebesgue"}},
-                {"weight": 0.3, "measure": {"variant": "atomic", "atoms": [[1.0, 1.0]]}},
-            ],
-        },
+    cases = [
+        ({"variant": "lebesgue"}, Lebesgue()),
+        ({"variant": "density", "name": "one_minus_cos"}, Density(name="one_minus_cos")),
+        (
+            {"variant": "density", "name": "bernstein_szego", "param": 0.5, "grid": 2048},
+            Density(name="bernstein_szego", param=0.5, grid=2048),
+        ),
+        (
+            {"variant": "arc_density", "name": "uniform", "arc": [1.0, 3.0]},
+            ArcDensity(name="uniform", arc=(1.0, 3.0)),
+        ),
+        (
+            {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "panels": 64},
+            ArcDensity(name="hann", arc=(0.0, 2.0), panels=64),
+        ),
+        (
+            {"variant": "atomic", "atoms": [[0.0, 0.5], [3.14, 0.5]]},
+            Atomic(atoms=((0.0, 0.5), (3.14, 0.5))),
+        ),
+        (
+            {
+                "variant": "mixture",
+                "components": [
+                    {"weight": 0.7, "measure": {"variant": "lebesgue"}},
+                    {"weight": 0.3, "measure": {"variant": "atomic", "atoms": [[1.0, 1.0]]}},
+                ],
+            },
+            Mixture(components=((0.7, Lebesgue()), (0.3, Atomic(atoms=((1.0, 1.0),))))),
+        ),
     ]
-    for obj in objs:
-        assert measure_to_dict(parse_measure(obj)) == obj
+    for obj, want in cases:
+        assert parse_measure(obj) == want
 
 
 def test_parse_complex_param():
     spec = parse_measure(
         {"variant": "density", "name": "bernstein_szego", "param": [0.3, 0.4]}
     )
-    assert spec.param == 0.3 + 0.4j
-    assert measure_to_dict(spec)["param"] == [0.3, 0.4]
+    assert spec == Density(name="bernstein_szego", param=0.3 + 0.4j)
+    assert type(spec.param) is complex
+
+
+@pytest.mark.parametrize(
+    "angles, distinct",
+    [
+        ((1.0, 1.0000000000002), False),
+        ((1e-13, -1e-13), False),  # across the cut
+        ((1.0000000000004, 1.0000000000006), False),  # across a 1e-12 rounding bucket
+        ((1.0, 1.0 + 1e-9), True),
+    ],
+)
+def test_parse_atoms_distinct_on_the_circle(angles, distinct):
+    obj = {"variant": "atomic", "atoms": [[a, 0.5] for a in angles]}
+    if distinct:
+        assert parse_measure(obj) == Atomic(atoms=tuple((a, 0.5) for a in angles))
+    else:
+        with pytest.raises(ConfigError, match="measure.atoms: atom angles must be distinct"):
+            parse_measure(obj)
 
 
 def test_parse_rejects_non_object():
@@ -550,9 +581,7 @@ def test_parse_arc_density_param_checked_like_density_param(param):
 @pytest.mark.parametrize("param", [None, 0.5, 3, [0.25, -1.5]])
 def test_parse_arc_density_param_kept_as_given(param):
     obj = {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "param": param}
-    spec = parse_measure(obj)
-    assert spec.param == param
-    assert parse_measure(json.loads(json.dumps(measure_to_dict(spec)))) == spec
+    assert parse_measure(obj) == ArcDensity(name="hann", arc=(0.0, 2.0), param=param)
 
 
 # ---------------------------------------------------------------------------

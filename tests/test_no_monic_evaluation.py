@@ -28,7 +28,6 @@ from szego_quad import (
     moments_from_schur,
     rule_from_sof,
     second_kind,
-    sine_pair_residual,
     sof_combo,
     sof_f1,
     sof_f2,
@@ -91,8 +90,6 @@ def test_member_values_and_probes_read_no_monic_values(no_horner):
     f1, f2 = sof_f1(table, 11, w), sof_f2(table, None, 11, w)
     assert np.max(np.abs(f1.value(f1.zeros))) < 1e-9
     assert np.all(sturm_sign_probe(f1, f2) > 0)
-    rule = make_rule(table, moments_from_schur(schur, 12), make_pop(table, 12, 1.0, 1.0))
-    assert sine_pair_residual(f1, f1.zeros[0], f1.zeros[1], rule) <= 1e-7
     seq = f_sequence(table, w, 12)
     theta = np.append(np.linspace(0.0, 6.0, 7), seq[0].anchor_angle)
     for cur, nxt in zip(seq, seq[1:]):

@@ -105,11 +105,3 @@ def test_laurent_value():
     assert abs(f.value(z) - (1 / z + z)) < 1e-14
     assert f.high == 1
     assert abs(f.at_angle(0.4) - 2 * np.cos(0.4)) < 1e-14
-
-
-def test_laurent_from_polynomial():
-    p = ComplexPolynomial([1.0, 2.0, 3.0])
-    f = LaurentPolynomial.from_polynomial(p, shift=-1)
-    assert f.low == -1
-    z = 1.7 + 0.2j
-    assert abs(f.value(z) - p(z) / z) < 1e-13

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from szego_quad import (
-    Atomic,
     Density,
     Lebesgue,
     ModulusMismatch,
@@ -14,22 +13,20 @@ from szego_quad import (
     build_opuc,
     circle_zero_angles,
     circular_distance,
-    discrete_measure,
     kernel_diag,
     make_pop,
     make_rule,
     moments,
     moments_from_schur,
-    pop_zeros,
     sof_f1,
     f_sequence,
-    weak_convergence_probe,
     weights_via_integral,
     rule_from_sof,
 )
 from szego_quad.quadrature import (
     TEST_FUNCTIONS,
     _exactness_residual,
+    pop_zeros,
     resolve_test_function,
 )
 
@@ -267,18 +264,6 @@ def test_rule_from_sof_odd_member_appends_anchor():
     assert np.any(np.abs(rule.node_angles - odd.anchor_angle) < 1e-12)
 
 
-def test_discrete_measure_round_trip():
-    schur = SchurSequence([0.5, -1 / 3])
-    table = build_opuc(schur, 2)
-    m = moments_from_schur(schur, 2)
-    rule = make_rule(table, m, make_pop(table, 2, 1.0, 1.0))
-    dm = discrete_measure(rule)
-    assert isinstance(dm, Atomic)
-    assert len(dm.atoms) == 2
-    back = moments(dm, 1)
-    assert abs(back.get(1) - m.get(1)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # a cap-0.9 sequence at n = 256, against mpmath references
 
@@ -362,17 +347,3 @@ def test_resolve_test_function():
     with pytest.raises(ValueError) as exc:
         resolve_test_function("cosine")
     assert "abs_sin_half" in str(exc.value)
-
-
-def test_weak_convergence_probe_decreases():
-    rules = []
-    for n in (4, 8, 16):
-        table, m = lebesgue_setup(n)
-        rules.append(make_rule(table, m, make_pop(table, n, 1.0, 1.0)))
-    errs = weak_convergence_probe(Lebesgue(), rules, "abs_sin_half")
-    assert np.all(np.diff(errs) < 0)
-    assert errs[-1] < 2e-3
-    exact = weak_convergence_probe(Lebesgue(), rules, "one")
-    assert np.max(exact) < 1e-12
-    first_moment = weak_convergence_probe(Lebesgue(), rules, "z_plus_zinv")
-    assert np.max(first_moment) < 1e-10

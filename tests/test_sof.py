@@ -423,15 +423,6 @@ def test_numerator_para_orthogonality(rng):
             assert val > 1e-6
 
 
-def test_as_pop_pair_reconstructs_numerator(rng):
-    schur = random_schur(rng, 4)
-    table = build_opuc(schur, 4)
-    inst = sof_f1(table, 4, np.exp(0.2j))
-    alpha, beta = inst.as_pop_pair()
-    rebuilt = alpha * table.phi[4] + beta * table.phi_star[4]
-    assert np.allclose(rebuilt.padded(5), inst.numerator.padded(5), atol=1e-13)
-
-
 def test_coefficient_recurrence_identities(rng):
     # alpha_n = beta_n + a_n conj(beta_n) with
     # beta_n = (e_{n-1}/e_n)(alpha_n - a_n conj(alpha_n)), and the numerator
@@ -528,8 +519,6 @@ def test_f_sequence_odd_members_match_deflated_numerator(rng):
             want = horner_sturm(nxt, cur, zeros)
             assert len(probes) == len(want)
             assert np.max(np.abs(probes - want) / np.abs(want)) < 1e-11
-        with pytest.raises(ValueError, match="index 3"):
-            seq[2].as_pop_pair()
 
 
 def test_f_sequence_folds_each_anchor_once():
