@@ -12,7 +12,7 @@ import numpy as np
 from szego_quad import (
     Density,
     build_opuc,
-    christoffel_modify,
+    christoffel_moments,
     f_sequence,
     moments,
     rule_from_sof,
@@ -59,10 +59,11 @@ print("  first kind:", np.array2string(np.sort(base.zeros), precision=8))
 print(f"  max gap: {np.max(np.abs(aug - np.sort(base.zeros))):.2e}")
 
 # 4. why they belong to the modified measure: with psi_j the monic family of
-#    |z - w|^2 d(mu), the numerator of F_{2k+1} is a multiple of
-#    Phi_2k*(w) z psi_{2k-1}(z) + Phi_2k(w) psi_{2k-1}*(z)
+#    |z - w|^2 d(mu), built from its moments, the numerator of F_{2k+1} is a
+#    multiple of Phi_2k*(w) z psi_{2k-1}(z) + Phi_2k(w) psi_{2k-1}*(z)
 k = n_odd // 2
-psi = christoffel_modify(table, w, 2 * k - 1)
+modified = schur_from_moments(christoffel_moments(m, w), 2 * k - 1)
+psi = build_opuc(modified, 2 * k - 1).phi
 print("\nmonic family of the |z - w|^2-modified measure:")
 for j, p in enumerate(psi):
     print(f"  psi_{j}: degree {p.degree}, coefficients {np.array2string(p.coeffs, precision=4)}")

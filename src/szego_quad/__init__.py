@@ -7,11 +7,9 @@ from .errors import (
     IntegrationResolution,
     ModulusMismatch,
     MomentRangeExceeded,
-    NearDiagonal,
     NotPositiveDefinite,
     OffCircle,
     PhaseLeak,
-    RemainderTooLarge,
     SchurOutOfDisk,
     SzegoQuadError,
     ZeroCoefficient,
@@ -25,7 +23,6 @@ from .measures import (
     MeasureSpec,
     Mixture,
     MomentTable,
-    christoffel_modify,
     christoffel_moments,
     inner_product,
     measure_integral,
@@ -40,8 +37,6 @@ from .opuc import (
     SchurSequence,
     build_opuc,
     kernel_diag,
-    kernel_eval,
-    kernel_polynomial,
     reverse,
     second_kind,
 )

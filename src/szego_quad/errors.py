@@ -34,16 +34,8 @@ class MomentRangeExceeded(SzegoQuadError):
     code = "MomentRangeExceeded"
 
 
-class RemainderTooLarge(SzegoQuadError):
-    code = "RemainderTooLarge"
-
-
 class ModulusMismatch(SzegoQuadError):
     code = "ModulusMismatch"
-
-
-class NearDiagonal(SzegoQuadError):
-    code = "NearDiagonal"
 
 
 class OffCircle(SzegoQuadError):

@@ -26,16 +26,12 @@ from .errors import (
     MomentRangeExceeded,
     NotPositiveDefinite,
     OffCircle,
-    RemainderTooLarge,
 )
 from .opuc import (
     CIRCLE_TOL,
     SCHUR_GUARD,
-    OpucTable,
     SchurSequence,
     cmv_matrix,
-    kernel_diag,
-    kernel_polynomial,
 )
 from .poly import ComplexPolynomial, LaurentPolynomial
 
@@ -380,20 +376,25 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
     return theta, w / w.sum()
 
 
-def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic: bool = True):
+def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic=True, first=0):
     """compute(theta, weights) on the discretization and on its doubling.
 
     The finer result is returned once the two agree to RESOLUTION_TOL;
-    otherwise the grid is too coarse for the declared density.
+    otherwise IntegrationResolution names the first entry that drifts by
+    its index, first + i for entry i (the degree, for Schur coefficients).
     """
     coarse = compute(*_discretize(spec, K, 0, periodic))
     fine = compute(*_discretize(spec, K, 1, periodic))
-    drift = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+    drifts = np.abs(np.atleast_1d(fine - coarse))
+    drift = float(np.max(drifts)) if drifts.size else 0.0
     if drift > RESOLUTION_TOL:
+        index = first + int(np.argmax(drifts > RESOLUTION_TOL))
         raise IntegrationResolution(
-            f"{what} drift {drift:.3e} under grid doubling exceeds {RESOLUTION_TOL:.0e}; "
-            "declare a finer grid for this density",
+            f"{what} drift {drift:.3e} under grid doubling exceeds {RESOLUTION_TOL:.0e}, "
+            f"first at index {index}; a finer grid helps only when the density is "
+            "under-resolved",
             drift=drift,
+            index=index,
         )
     return fine
 
@@ -547,7 +548,7 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     extract = lambda t, w: _value_extract(t, w, n_max)
-    return SchurSequence(_resolved(spec, 2 * n_max + 2, extract, "Schur"))
+    return SchurSequence(_resolved(spec, 2 * n_max + 2, extract, "Schur", first=1))
 
 
 def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:
@@ -597,32 +598,3 @@ def christoffel_moments(m: MomentTable, w) -> MomentTable:
     raw /= mass
     raw[0] = 1.0
     return MomentTable(raw)
-
-
-def christoffel_modify(table: OpucTable, w, n_max: int) -> list[ComplexPolynomial]:
-    """Monic orthogonal family psi_0..psi_{n_max} of |z - w|^2 d(mu), w on the circle.
-
-    Built from the kernel relation (z - w) psi_n(z) = Phi_{n+1}(z) -
-    (Phi_{n+1}(w) / K_n(w, w)) K_n(z, w); the synthetic division by (z - w)
-    must be exact, and a large remainder signals an inconsistent table.
-    """
-    w = complex(w)
-    if not abs(abs(w) - 1.0) <= CIRCLE_TOL:
-        raise OffCircle(f"modification point off the circle: |w| = {abs(w):.17g}")
-    n_max = int(n_max)
-    if n_max + 1 > table.order:
-        raise ValueError(f"psi_{n_max} needs table order {n_max + 1}")
-    out = []
-    for j in range(n_max + 1):
-        lam = table.phi[j + 1](w) / kernel_diag(table, j, w)
-        num = table.phi[j + 1] - lam * kernel_polynomial(table, j, w)
-        quot, rem = num.deflate(w)
-        scale = max(1.0, float(np.max(np.abs(num.coeffs))))
-        if abs(rem) > 1e-10 * scale:
-            raise RemainderTooLarge(
-                f"division remainder {abs(rem):.3e} at degree {j} exceeds tolerance",
-                degree=j,
-                remainder=abs(rem),
-            )
-        out.append(quot)
-    return out

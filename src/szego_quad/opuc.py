@@ -8,13 +8,12 @@ where a_n = Phi_n(0) are the Schur parameters (all strictly inside the unit
 disk) and the star denotes the conjugate-reversed polynomial of declared
 degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
 the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
-conj(Phi_k(y)) / e_k.  Values, kernel diagonals and off-diagonal kernel values
-come from the normalized recurrence, zeros and moments from the CMV matrix
-(cmv_matrix).  szego_sweep yields every degree of one recurrence run and
-szego_values is its last step, so a family anchored at w takes all its
-degrees from one sweep at w.  A table holds only the Schur parameters and the
-norms; its monic Phi_n and Phi_n* are built on first read, for output and
-test oracles.
+conj(Phi_k(y)) / e_k.  Values and kernel diagonals K_n(z, z) come from the
+normalized recurrence, zeros and moments from the CMV matrix (cmv_matrix).
+szego_sweep yields every degree of one recurrence run and szego_values is
+its last step, so a family anchored at w takes all its degrees from one
+sweep at w.  A table holds only the Schur parameters and the norms; its
+monic Phi_n and Phi_n* are built on first read, for output and test oracles.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NearDiagonal, OffCircle, SchurOutOfDisk
+from .errors import OffCircle, SchurOutOfDisk
 from .poly import ComplexPolynomial
 
 SCHUR_GUARD = 1.0 - 1e-12
 CIRCLE_TOL = 1e-12
-DIAGONAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +38,8 @@ class SchurSequence:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        if c.ndim != 1:
+            raise ValueError("Schur coefficients must form a one-dimensional sequence")
         mags = np.abs(c)
         bad = ~(mags <= SCHUR_GUARD)  # NaN fails the guard too
         if bad.any():
@@ -192,35 +192,3 @@ def kernel_diag(table: OpucTable, n: int, z):
     _check_on_circle(zs)
     acc = szego_values(table.schur, n, zs)[2]
     return float(acc) if zs.ndim == 0 else acc
-
-
-def kernel_eval(table: OpucTable, n: int, z, y):
-    """K_n(z, y) = (q(z) conj(q(y)) - p(z) conj(p(y))) / (1 - conj(y) z), p = phi_{n+1}, q = p*.
-
-    Christoffel-Darboux on normalized recurrence values (szego_values), valid
-    off the circle too.  The table must reach degree n+1, and |1 - conj(y) z|
-    <= 1e-8 raises NearDiagonal (the quotient cancels; kernel_diag serves z = y).
-    """
-    if not 0 <= n < table.order:
-        raise ValueError(f"kernel degree {n} outside 0..{table.order - 1}")
-    z = complex(z)
-    y = complex(y)
-    denom = 1.0 - np.conj(y) * z
-    if abs(denom) <= DIAGONAL_TOL:
-        raise NearDiagonal(
-            f"|1 - conj(y) z| = {abs(denom):.3e} is inside the guarded band",
-            separation=abs(denom),
-        )
-    p, q, _ = szego_values(table.schur, n + 1, np.array([z, y]))
-    num = q[0] * np.conj(q[1]) - p[0] * np.conj(p[1])
-    return complex(num / denom)
-
-
-def kernel_polynomial(table: OpucTable, n: int, y) -> ComplexPolynomial:
-    """K_n(., y) as a degree-n polynomial in the first argument."""
-    if not 0 <= n <= table.order:
-        raise ValueError(f"kernel degree {n} outside 0..{table.order}")
-    c = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        c[: k + 1] += (np.conj(table.phi[k](y)) / table.e[k]) * table.phi[k].coeffs
-    return ComplexPolynomial(c)

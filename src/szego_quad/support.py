@@ -207,10 +207,12 @@ def support_estimate(
     if n_min is None:
         n_min = max(1, n_max // 2)
     n_min = int(n_min)
+    if n_min < 1:
+        raise ValueError("n_min must be at least 1")
     if n_min > n_max:
         raise ValueError(f"no computed degrees at or above n_min = {n_min}")
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
-    orders = range(max(1, n_min), n_max + 1)
+    orders = range(n_min, n_max + 1)
     families = [sof_members(table, SofFamilySpec.f1(w), orders) for w in anchors]
     angles = [f[0].anchor_angle for f in families]
     isolated = [

@@ -1,7 +1,8 @@
 """Every demo script runs to completion, with every warning an error, and
-prints its narrative."""
+prints its narrative; a printed misfit stays at rounding level."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,7 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    # the alternating demo compares its odd member with the modified family
+    misfits = re.findall(r"relative misfit (\S+)", proc.stdout)
+    assert (demo.stem == "alternating_sequence") == bool(misfits)
+    assert all(float(x) < 1e-12 for x in misfits)

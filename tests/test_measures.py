@@ -19,10 +19,8 @@ from szego_quad import (
     MomentTable,
     NotPositiveDefinite,
     OffCircle,
-    RemainderTooLarge,
     SchurSequence,
     build_opuc,
-    christoffel_modify,
     christoffel_moments,
     inner_product,
     measure_integral,
@@ -34,7 +32,7 @@ from szego_quad import (
 )
 from szego_quad.poly import LaurentPolynomial
 
-from conftest import gram_schmidt_monic, random_schur
+from conftest import random_schur
 
 ARC = (np.pi / 2, 3 * np.pi / 2)
 
@@ -315,6 +313,18 @@ def test_resolution_guard_near_singular_density():
     assert exc.value.detail["drift"] > 1e-10
     fine = moments(Density(name="bernstein_szego", param=0.999, grid=30000), 8)
     assert abs(fine.get(1) - 0.999) < 1e-12
+
+
+def test_resolution_error_names_the_degree():
+    # on the half circle at n = 60 the drift comes from the extraction's
+    # conditioning: the doubled panel count drifts more than the default
+    spec = ArcDensity(name="uniform", arc=(0.0, np.pi), panels=244)
+    with pytest.raises(IntegrationResolution) as exc:
+        schur_from_measure(spec, 60)
+    assert exc.value.detail["index"] == 49
+    assert exc.value.detail["drift"] > 4.4e-9
+    assert "first at index 49" in str(exc.value)
+    assert "only when the density is under-resolved" in str(exc.value)
 
 
 def test_measure_integral_examples():
@@ -605,40 +615,15 @@ def test_christoffel_moments_guards():
     assert exc.value.detail["mass"] < 1e-14
 
 
-def test_christoffel_modify_lebesgue():
-    t = build_opuc(SchurSequence.zeros(3), 3)
-    psis = christoffel_modify(t, 1.0, 2)
+def test_christoffel_family_lebesgue():
+    # the monic family of |z - w|^2 d(theta) / (2 pi), through its moments
+    def family(w, n):
+        m = christoffel_moments(moments(Lebesgue(), n + 1), w)
+        return build_opuc(schur_from_moments(m, n), n).phi
+
+    psis = family(1.0, 2)
     assert np.allclose(psis[0].coeffs, [1.0])
     assert np.allclose(psis[1].coeffs, [0.5, 1.0])
     assert np.allclose(psis[2].coeffs, [1 / 3, 2 / 3, 1.0])
-    flipped = christoffel_modify(t, -1.0, 1)
+    flipped = family(-1.0, 1)
     assert np.allclose(flipped[1].coeffs, [-0.5, 1.0])
-
-
-def test_christoffel_modify_matches_gram_schmidt():
-    spec = Density(name="bernstein_szego", param=0.3)
-    table = build_opuc(schur_from_measure(spec, 6), 6)
-    w = np.exp(0.8j)
-    modified = christoffel_moments(moments(spec, 7), w)
-    basis, _ = gram_schmidt_monic(modified.get, 5)
-    psis = christoffel_modify(table, w, 5)
-    for n in range(6):
-        assert np.allclose(psis[n].padded(6), np.pad(basis[n], (0, 5 - n)), atol=1e-10)
-
-
-def test_christoffel_modify_guards():
-    t = build_opuc(SchurSequence.zeros(3), 3)
-    with pytest.raises(OffCircle):
-        christoffel_modify(t, 0.9, 1)
-    with pytest.raises(ValueError):
-        christoffel_modify(t, 1.0, 3)
-
-
-def test_christoffel_modify_remainder_guard(monkeypatch):
-    # an inconsistent kernel normalization breaks the exact division
-    t = build_opuc(SchurSequence([0.3, -0.2, 0.1]), 3)
-    orig = meas.kernel_diag
-    monkeypatch.setattr(meas, "kernel_diag", lambda table, n, z: 2.0 * orig(table, n, z))
-    with pytest.raises(RemainderTooLarge) as exc:
-        christoffel_modify(t, 1.0, 2)
-    assert exc.value.detail["remainder"] > 1e-10

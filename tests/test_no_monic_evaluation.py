@@ -21,7 +21,6 @@ from szego_quad import (
     SofFamilySpec,
     build_opuc,
     kernel_diag,
-    kernel_eval,
     f_sequence,
     make_pop,
     make_rule,
@@ -80,7 +79,6 @@ def test_numeric_core_reads_no_monic_values(no_horner):
     rule = make_rule(table, moments_from_schur(schur, 12), make_pop(table, 12, 1.0, 1.0))
     assert rule.exactness_residual < 1e-10
     assert kernel_diag(table, 10, w) >= 1.0
-    assert np.isfinite(kernel_eval(table, 10, w, np.exp(0.5j)))
 
 
 def test_member_values_and_probes_read_no_monic_values(no_horner):

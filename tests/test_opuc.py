@@ -1,23 +1,19 @@
 """Szego recurrence, second kind polynomials, kernels."""
 
-import mpmath
 import numpy as np
 import pytest
 
 from szego_quad import (
     ComplexPolynomial,
     ModulusMismatch,
-    NearDiagonal,
     OffCircle,
     SchurOutOfDisk,
     SchurSequence,
     build_opuc,
-    christoffel_modify,
     christoffel_moments,
+    f_sequence,
     inner_product,
     kernel_diag,
-    kernel_eval,
-    kernel_polynomial,
     make_pop,
     moments_from_schur,
     reverse,
@@ -34,6 +30,13 @@ def test_schur_sequence_guard():
     with pytest.raises(SchurOutOfDisk) as exc:
         SchurSequence([0.5, 1.0 - 1e-13])
     assert exc.value.detail["n"] == 2
+
+
+def test_schur_sequence_rejects_non_vector():
+    # a 2 x 3 array was taken as two coefficients and build_opuc then died
+    # with a bare TypeError
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SchurSequence(np.zeros((2, 3)))
 
 
 def test_schur_indexing():
@@ -172,7 +175,7 @@ def test_kernel_diag_off_circle():
         (lambda t, v: make_pop(t, 3, v, 1.0), ModulusMismatch),
         (lambda t, v: make_pop(t, 3, 1.0, v), ModulusMismatch),
         (lambda t, v: christoffel_moments(moments_from_schur(t.schur, 4), v), OffCircle),
-        (lambda t, v: christoffel_modify(t, v, 2), OffCircle),
+        (lambda t, v: f_sequence(t, v, 3), OffCircle),
     ],
 )
 def test_range_guards_reject_non_finite(call, error, bad):
@@ -184,76 +187,12 @@ def test_range_guards_reject_non_finite(call, error, bad):
 
 def test_kernel_degree_range():
     # a negative degree used to slice the recurrence silently: kernel_diag
-    # at -1 returned 4.87 here and kernel_eval at -2 a number
+    # at -1 returned 4.87 here
     t = build_opuc(random_schur(np.random.default_rng(3), 6), 6)
     with pytest.raises(ValueError, match=r"kernel degree -1 outside 0\.\.6"):
         kernel_diag(t, -1, 1.0)
-    with pytest.raises(ValueError, match=r"kernel degree -2 outside 0\.\.5"):
-        kernel_eval(t, -2, np.exp(0.3j), np.exp(1.3j))
-    with pytest.raises(ValueError, match=r"kernel degree 6 outside 0\.\.5"):
-        kernel_eval(t, 6, np.exp(0.3j), np.exp(1.3j))
-
-
-def test_kernel_eval_lebesgue():
-    t = build_opuc(SchurSequence.zeros(4), 4)
-    z, y = np.exp(0.9j), np.exp(-0.4j)
-    assert abs(kernel_eval(t, 2, z, 0.0) - 1.0) < 1e-12
-    expected = 1 + z * np.conj(y) + (z * np.conj(y)) ** 2
-    assert abs(kernel_eval(t, 2, z, y) - expected) < 1e-12
-
-
-def test_kernel_eval_matches_sum(rng):
-    s = random_schur(rng, 8)
-    t = build_opuc(s, 8)
-    for _ in range(100):
-        a, b = 2 * np.pi * rng.random(2)
-        z, y = np.exp(1j * a), np.exp(1j * b)
-        if abs(1 - np.conj(y) * z) <= 1e-3:
-            continue
-        direct = sum(t.phi[k](z) * np.conj(t.phi[k](y)) / t.e[k] for k in range(8))
-        cd = kernel_eval(t, 7, z, y)
-        assert abs(cd - direct) <= 1e-9 * max(1.0, abs(direct))
-
-
-def test_kernel_eval_geronimus_matches_mpmath_sum():
-    # Christoffel-Darboux on Horner values of the monic table was off by up to
-    # 4e17 times the kernel scale here: the monic values at z cancel to 1e-15
-    schur = SchurSequence(np.full(41, 0.9))
-    t = build_opuc(schur, 41)
-    rng = np.random.default_rng(7)
-    for a, b in 2 * np.pi * rng.random((20, 2)):
-        z, y = np.exp(1j * a), np.exp(1j * b)
-        with mpmath.workdps(60):
-            zs, ys = mpmath.expj(mpmath.mpf(a)), mpmath.expj(mpmath.mpf(b))
-            pz = py = sz = sy = mpmath.mpc(1)
-            e = mpmath.mpf(1)
-            want = mpmath.mpc(1)
-            for x in schur.coefficients[:40]:
-                x = mpmath.mpc(complex(x))
-                pz, sz = zs * pz + x * sz, sz + mpmath.conj(x) * zs * pz
-                py, sy = ys * py + x * sy, sy + mpmath.conj(x) * ys * py
-                e *= 1 - abs(x) ** 2
-                want += pz * mpmath.conj(py) / e
-            want = complex(want)
-        scale = np.sqrt(kernel_diag(t, 40, z) * kernel_diag(t, 40, y))
-        assert abs(kernel_eval(t, 40, z, y) - want) / scale < 1e-12
-
-
-def test_kernel_eval_near_diagonal():
-    t = build_opuc(SchurSequence.zeros(3), 3)
-    z = np.exp(0.5j)
-    with pytest.raises(NearDiagonal):
-        kernel_eval(t, 2, z, z * (1 + 1e-12))
-
-
-def test_kernel_polynomial_reproduces(rng):
-    # K_n(., y) evaluated at z equals kernel_eval
-    s = random_schur(rng, 6)
-    t = build_opuc(s, 6)
-    y = np.exp(1.1j)
-    k = kernel_polynomial(t, 4, y)
-    z = np.exp(-0.7j)
-    assert abs(k(z) - kernel_eval(t, 4, z, y)) < 1e-10
+    with pytest.raises(ValueError, match=r"kernel degree 7 outside 0\.\.6"):
+        kernel_diag(t, 7, 1.0)
 
 
 def test_e_sequence_monotone(rng):

@@ -26,12 +26,7 @@ PACKAGE = ""  # the szego_quad namespace itself, as the module of a read
 # name -> (test file, the function in it that compares against the name)
 TEST_REFERENCES = {
     "accumulation_set": ("test_support.py", "per_anchor_estimate"),
-    "christoffel_moments": (
-        "test_sof.py",
-        "test_f_sequence_odd_numerator_orthogonal_for_modified_measure",
-    ),
     "inner_product": ("test_opuc.py", "test_orthogonality_against_moments"),
-    "kernel_eval": ("test_opuc.py", "test_kernel_polynomial_reproduces"),
 }
 
 
