@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from szego_quad import (
+    ArcDensity,
+    Atomic,
     Density,
     Lebesgue,
+    Mixture,
     ModulusMismatch,
     SchurSequence,
     ZeroCountMismatch,
@@ -22,10 +25,16 @@ from szego_quad import (
     f_sequence,
     weights_via_integral,
     rule_from_sof,
+    schur_from_measure,
 )
+from szego_quad.circle import fold_angle
+from szego_quad.opuc import cmv_matrix, szego_values
 from szego_quad.quadrature import (
+    CLUSTER_GAP,
+    HERMITIAN_MAX_ORDER,
     TEST_FUNCTIONS,
     _exactness_residual,
+    invariant_zeros,
     pop_zeros,
     resolve_test_function,
 )
@@ -125,6 +134,74 @@ def test_pop_zeros_against_roots_oracle(rng):
         assert np.allclose(got, want, atol=1e-8)
         if n > 1:
             assert np.min(np.diff(got)) > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian-part zero solver against eigvals of the CMV matrix
+
+
+def eigvals_zeros(schur, n, t):
+    """invariant_zeros as every order took it before the Hermitian path:
+    the angles of eigvals of the CMV matrix, folded, snapped and sorted."""
+    a_n = schur.coefficients[n - 1]
+    C = cmv_matrix(schur, n, (a_n + t) / (1.0 + np.conj(a_n) * t))
+    roots = fold_angle(np.angle(np.linalg.eigvals(C)), 0.0)
+    return np.sort(np.where(2 * np.pi - roots < 1e-9, 0.0, roots))
+
+
+def assert_matches_eigvals(schur, n, t):
+    got = invariant_zeros(schur, n, t)
+    want = eigvals_zeros(schur, n, t)
+    assert len(got) == n
+    assert np.max(circular_distance(got, want)) < 1e-13, (n, t)
+    return want
+
+
+def hermitian_cluster(angles):
+    """Whether two zeros share a cosine to within the solver's cluster gap."""
+    return bool(np.any(np.diff(np.sort(2 * np.cos(angles))) <= CLUSTER_GAP))
+
+
+def has_conjugate_pair(angles):
+    return bool(np.any(np.abs(np.sin(angles)) > 1e-8))
+
+
+@pytest.mark.parametrize("cap", [0.3, 0.6, 0.9, 0.99])
+def test_hermitian_zeros_match_eigvals_on_random_sequences(rng, cap):
+    for n in range(1, HERMITIAN_MAX_ORDER + 1):
+        assert_matches_eigvals(random_schur(rng, n, cap), n, np.exp(2j * np.pi * rng.random()))
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_hermitian_zeros_resolve_conjugate_pairs(rng, t):
+    # zero Schur parameters give the n-th roots of -t, and real coefficients
+    # with a real t zeros closed under conjugation: every zero off the real
+    # axis shares its cosine with its conjugate
+    for n in range(1, HERMITIAN_MAX_ORDER + 1):
+        for schur in (SchurSequence.zeros(n), SchurSequence(rng.uniform(-0.9, 0.9, n))):
+            want = assert_matches_eigvals(schur, n, t)
+            assert hermitian_cluster(want) == has_conjugate_pair(want)
+            assert has_conjugate_pair(want) or n <= 2
+
+
+def test_hermitian_zeros_resolve_the_atom_and_its_mirror():
+    # at n = 16 a zero sits 4e-16 from the atom at 4; closing the matrix so
+    # that exp(i (2 pi - 4)) is a zero too puts two eigenvalues of C + C^H
+    # about 1e-15 apart
+    spec = Mixture(((1.0, ArcDensity("uniform", (0.5, 2.0))), (1.0, Atomic(((4.0, 1.0),)))))
+    n = 16
+    schur = schur_from_measure(spec, n)
+    z0 = np.exp(1j * (2 * np.pi - 4.0))
+    phi, phi_star, _ = szego_values(schur, n - 1, z0)
+    lam = -z0 * phi / phi_star
+    a_n = schur.coefficients[n - 1]
+    t = (lam - a_n) / (1.0 - np.conj(a_n) * lam)
+    want = assert_matches_eigvals(schur, n, t)
+    assert np.min(np.abs(want - 4.0)) < 1e-15
+    assert np.min(np.abs(want - (2 * np.pi - 4.0))) < 1e-13
+    assert hermitian_cluster(want)
+    for t in (1.0, -1.0, 1j):
+        assert_matches_eigvals(schur, n, t)
 
 
 def test_circle_zero_count_guard():

@@ -34,7 +34,7 @@ from szego_quad import (
 from szego_quad.circle import circular_distance, half_power
 from szego_quad.opuc import szego_values
 from szego_quad.poly import LaurentPolynomial
-from szego_quad.quadrature import invariant_zeros
+from szego_quad.quadrature import HERMITIAN_MAX_ORDER, invariant_zeros
 
 from conftest import random_schur
 
@@ -272,15 +272,16 @@ def test_sof_members_bit_identical_to_one_degree_calls(rng):
         sof_members(table, SofFamilySpec.f1(w), (4, 21))
 
 
-# sha256 over (alpha, zeros, label) of the members of degrees 1..16, taken
-# before the family description held one coefficient pair (x86-64, numpy
-# 2.4, OpenBLAS 0.3.31: the zeros are LAPACK eigenvalues, so another LAPACK
-# may move their last bits)
+# sha256 over (alpha, zeros, label) of the members of degrees 1..16 (x86-64,
+# numpy 2.4, OpenBLAS 0.3.31: the zeros are LAPACK eigenpairs, so another
+# LAPACK may move their last bits).  Re-recorded when orders up to 64 moved
+# from eigvals of the CMV matrix to eigh of its Hermitian part: the alphas
+# kept their bits, and 224 of the 544 zeros moved by at most 1.8e-15 rad.
 FAMILY_DIGESTS = {
-    "f1": "6e3999ec2eca42f4dd7652606494d240ce172ffe84c8a6c390e21b78b8a74583",
-    "f2": "5dc8b3d45415705f4ff67f6394666df1e95ff5e063202bb39ca54a9127cebb44",
-    "combo": "6bc3a19060f045dbb3c067a8c599fa8e14b77d1437616a7fc74e5f93929e8ff4",
-    "polyseq": "f15b1d5d9a596b9ee4a94e95fe57c411c0b12f6b33cc9636846385745e0fae9c",
+    "f1": "a82235076eb3d3df15e878c87e6af4be1f2f134a6b70bbbefea1bbff96776b26",
+    "f2": "5b6462cd658b2d397430ce09487c35c903074eb5c924625cfbe548e2eef59bd7",
+    "combo": "3a4a8d9d7bd8f00493c48d45348b0051066924678e3cab97ed4983b734384f98",
+    "polyseq": "47c5db6df8eb8bc0e26f78861031b8be5f237ca6ffebab4543ffe65a776d4095",
 }
 
 
@@ -385,6 +386,21 @@ def test_second_kind_members_match_mpmath(measure):
             assert len(inst.zeros) == 40
             dist = circular_distance(want[:, None], inst.zeros[None, :]).min(axis=1)
             assert np.max(dist) < 1e-12, (inst.label, angle, np.max(dist))
+
+
+def test_conjugate_pair_members_match_mpmath():
+    # real Schur parameters and the anchor -1 make every t real, so the zeros
+    # come in conjugate pairs that share an eigenvalue of C + C^H: the cluster
+    # path of the solver, up to its largest order
+    n_top = HERMITIAN_MAX_ORDER
+    schur = SchurSequence(0.9 * np.cos(1.3 * np.arange(n_top)))
+    table = build_opuc(schur, n_top)
+    for inst in sof_members(table, SofFamilySpec.f1(-1.0), (16, 41, n_top)):
+        want = mp_member_zeros(schur.coefficients, inst.n, np.pi, 1, 0)
+        assert len(inst.zeros) == inst.n
+        assert np.min(np.diff(np.sort(want))) > 1e-6
+        dist = circular_distance(want[:, None], inst.zeros[None, :]).min(axis=1)
+        assert np.max(dist) < 1e-12, (inst.label, np.max(dist))
 
 
 # ---------------------------------------------------------------------------

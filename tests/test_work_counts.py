@@ -5,7 +5,9 @@ so it solves one CMV eigenproblem per anchor and read degree, and a family
 takes all its anchor values from one recurrence sweep per anchor.  It makes
 one pass over those zero sets: one epsilon-dilation per anchor and read
 degree, one for the balls of the isolated anchors, and no zero cloud.  The
-counters wrap the eigensolver, the sweep the families call and the dilation.
+counters wrap the zero solver the families call, numpy's general eigensolver
+(which serves orders above quadrature.HERMITIAN_MAX_ORDER), the sweep the
+families call and the dilation.
 """
 
 import numpy as np
@@ -13,12 +15,21 @@ import pytest
 
 import szego_quad.sof as sof
 import szego_quad.support as sup
-from szego_quad import ArcDensity, SchurSequence, build_opuc, f_sequence, support_estimate
+from szego_quad import (
+    ArcDensity,
+    SchurSequence,
+    build_opuc,
+    f_sequence,
+    make_pop,
+    make_rule,
+    moments_from_schur,
+    support_estimate,
+)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"eigvals": 0, "sweeps": 0, "dilations": 0}
+    tally = {"solves": 0, "eigvals": 0, "sweeps": 0, "dilations": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -27,6 +38,7 @@ def counts(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(sof, "invariant_zeros", counted(sof.invariant_zeros, "solves"))
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
     monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
     monkeypatch.setattr(sup, "_eps_union", counted(sup._eps_union, "dilations"))
@@ -37,7 +49,7 @@ def test_support_estimate_solves_only_the_degrees_it_reads(counts):
     anchors = np.exp(1j * np.array([0.3, 3.5]))
     est = support_estimate(ArcDensity("uniform", (1.0, 2.5)), anchors, 16, 0.3)
     assert est.n_min == 8
-    assert counts["eigvals"] == 2 * 9
+    assert counts["solves"] == 2 * 9
     assert counts["sweeps"] == 2
     assert counts["dilations"] == 2 * 9 + 1
 
@@ -59,10 +71,18 @@ def test_f_sequence_runs_one_anchor_sweep(counts):
     seq = f_sequence(build_opuc(schur, 24), np.exp(1.1j), 24)
     assert len(seq) == 24
     assert counts["sweeps"] == 1
-    assert counts["eigvals"] == 23
+    assert counts["solves"] == 23
 
 
 def test_support_estimate_checks_epsilon_before_numerics(counts):
     with pytest.raises(ValueError, match="finite"):
         support_estimate(ArcDensity("uniform", (1.0, 2.5)), [1.0], 16, float("nan"))
-    assert counts["eigvals"] == counts["sweeps"] == 0
+    assert counts["solves"] == counts["sweeps"] == 0
+
+
+def test_order_256_rule_makes_one_general_eigensolve(counts):
+    schur = SchurSequence(0.6 * np.exp(0.7j * np.arange(256)))
+    table = build_opuc(schur, 256)
+    rule = make_rule(table, moments_from_schur(schur, 256), make_pop(table, 256, 1.0, 1.0))
+    assert rule.order == 256
+    assert counts["eigvals"] == 1
