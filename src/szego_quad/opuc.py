@@ -12,8 +12,9 @@ conj(Phi_k(y)) / e_k.  Values and kernel diagonals K_n(z, z) come from the
 normalized recurrence, zeros and moments from the CMV matrix (cmv_matrix).
 szego_sweep yields every degree of one recurrence run and szego_values is
 its last step, so a family anchored at w takes all its degrees from one
-sweep at w.  A table holds only the Schur parameters and the norms; its
-monic Phi_n and Phi_n* are built on first read, for output and test oracles.
+sweep at w, and one kernel_diag sweep reads each point at its own degree.
+A table holds only the Schur parameters and the norms; its monic Phi_n and
+Phi_n* are built on first read, for output and test oracles.
 """
 
 from __future__ import annotations
@@ -185,15 +186,29 @@ def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
     return L @ M
 
 
-def kernel_diag(table: OpucTable, n: int, z):
+def kernel_diag(table: OpucTable, n, z):
     """K_n(z, z) for z on the unit circle, by the normalized recurrence.
 
     Always >= 1 since the degree-zero term contributes 1.  Accepts scalar or
-    array z and returns matching shape.
+    array z and returns matching shape.  n is one degree for every point, or
+    an integer array shaped like z with one degree per point: one sweep up to
+    the highest degree then reads each point at its own degree, and since the
+    recurrence is elementwise every value is bit-identical to a call at that
+    point's degree alone.
     """
-    if not 0 <= n <= table.order:
-        raise ValueError(f"kernel degree {n} outside 0..{table.order}")
+    ns = np.asarray(n)
+    outside = ns[(ns < 0) | (ns > table.order)]
+    if outside.size:
+        raise ValueError(f"kernel degree {outside[0]} outside 0..{table.order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
-    acc = szego_values(table.schur, n, zs)[2]
-    return float(acc) if zs.ndim == 0 else acc
+    if ns.ndim == 0:
+        acc = szego_values(table.schur, int(ns), zs)[2]
+        return float(acc) if zs.ndim == 0 else acc
+    if ns.shape != zs.shape:
+        raise ValueError(f"{ns.shape} degrees for points of shape {zs.shape}")
+    out = np.empty(zs.shape)
+    for k, (_, _, acc) in enumerate(szego_sweep(table.schur, int(ns.max(initial=0)), zs)):
+        at = ns == k
+        out[at] = acc[at]
+    return out

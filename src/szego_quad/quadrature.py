@@ -222,17 +222,27 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
     suffice, taken at most 32 rows of the Vandermonde matrix at a time.  The
     blocks are near-equal, so none has a single row: numpy takes a 1-row
     product through dot, which rounds differently from the matrix product."""
-    worst = 0.0
-    for ks in np.array_split(np.arange(order), -(-order // 32)):
-        vals = np.exp(1j * np.outer(ks, angles)) @ weights
-        worst = max(worst, float(np.max(np.abs(vals - m.window(ks[0], ks[-1])))))
+    c = m.c[:order]
+    if len(c) < order:
+        m.take(len(c))  # raises MomentRangeExceeded at the first index past c_K
+    ks = np.arange(order)[:, None]
+    blocks = -(-order // 32)
+    size, longer = divmod(order, blocks)
+    worst, lo = 0.0, 0
+    for b in range(blocks):
+        hi = lo + size + (b < longer)
+        vals = np.exp(1j * (ks[lo:hi] * angles)) @ weights
+        worst = max(worst, float(np.max(np.abs(vals - c[lo:hi]))))
+        lo = hi
     return worst
 
 
-def _kernel_rule(table: OpucTable, m: MomentTable, angles, order, omega0, source):
-    """Rule on the given nodes with weights H_k = 1 / K_{n-1}(z_k, z_k), the
-    exactness defect over the Laurent window |k| <= n - 1 stamped on it."""
-    weights = 1.0 / kernel_diag(table, order - 1, np.exp(1j * angles))
+def _kernel_rule(table: OpucTable, m: MomentTable, angles, order, omega0, source, weights=None):
+    """Rule on the given nodes with weights H_k = 1 / K_{n-1}(z_k, z_k), computed
+    here unless given, the exactness defect over the Laurent window |k| <= n - 1
+    stamped on it."""
+    if weights is None:
+        weights = 1.0 / kernel_diag(table, order - 1, np.exp(1j * angles))
     return QuadratureRule(
         order=order,
         node_angles=angles,
@@ -254,21 +264,43 @@ def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -
     return _kernel_rule(table, m, pop_zeros(pop, omega0), pop.order, omega0, src)
 
 
+def member_rule_angles(zeros, order, anchor_angle, omega0) -> np.ndarray:
+    """Sorted nodes in [omega0, omega0 + 2 pi) of the order-point rule of a
+    semi-orthogonal member: its zeros, plus the anchor when it has order - 1."""
+    angles = fold_angle(np.asarray(zeros, dtype=float), omega0)
+    if order == len(angles) + 1:
+        angles = np.append(angles, fold_angle(anchor_angle, omega0))
+    elif order != len(angles):
+        raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
+    return np.sort(angles)
+
+
 def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> QuadratureRule:
     """Quadrature rule generated by a semi-orthogonal function's zero set.
 
     For the odd members of the alternating sequence the anchor is the one
-    extra node (the instance carries one fewer zero than its order).
+    extra node (the instance carries one fewer zero than its order).  The
+    weights are the table's kernel and the nodes the member's zeros, so a
+    table whose first order - 1 Schur coefficients differ from the member's
+    raises ValueError.  A member that carries its rule nodes and weights
+    (f_sequence builds them in one kernel sweep) has them taken as they are
+    when omega0 is its own window; only the exactness defect is stamped.
     """
     omega0 = float(inst.omega0 if omega0 is None else omega0)
-    angles = fold_angle(np.asarray(inst.zeros, dtype=float), omega0)
     order = int(inst.index)
-    if order == len(angles) + 1:
-        angles = np.append(angles, fold_angle(inst.anchor_angle, omega0))
-    elif order != len(angles):
-        raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
+    k = order - 1
+    if not 0 <= k <= table.order:
+        raise ValueError(f"kernel degree {k} outside 0..{table.order}")
+    if table.schur is not inst.table.schur and not np.array_equal(
+        table.schur.coefficients[:k], inst.table.schur.coefficients[:k]
+    ):
+        raise ValueError(f"the table's first {k} Schur coefficients differ from the member's")
     src = f"sof({inst.label})" if getattr(inst, "label", "") else "sof"
-    return _kernel_rule(table, m, np.sort(angles), order, omega0, src)
+    if getattr(inst, "rule_weights", None) is not None and omega0 == inst.omega0:
+        angles, weights = inst.rule_angles, inst.rule_weights
+    else:
+        angles, weights = member_rule_angles(inst.zeros, order, inst.anchor_angle, omega0), None
+    return _kernel_rule(table, m, angles, order, omega0, src, weights)
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and per-member reference formulas.
 
 The Gram-Schmidt oracle below rebuilds monic orthogonal polynomials by
 classical projection against the moment inner product, so recurrence-based
@@ -9,7 +9,8 @@ own update formulas.
 import numpy as np
 import pytest
 
-from szego_quad import SchurSequence
+from szego_quad import SchurSequence, kernel_diag
+from szego_quad.circle import fold_angle
 
 
 @pytest.fixture
@@ -57,3 +58,29 @@ def gram_schmidt_monic(cget, n_max):
 
 def lebesgue_cget(k):
     return 1.0 if k == 0 else 0.0
+
+
+def per_member_rule(table, m, inst, omega0):
+    """The rule of one semi-orthogonal member by the per-member formula: its zeros
+    (plus the anchor when it carries one fewer) folded into the window and sorted,
+    weights 1 / K_{n-1} from kernel_diag at that one degree, and the exactness
+    defect over k = 0..n - 1 in np.array_split row blocks against m.window."""
+    n = inst.index
+    angles = fold_angle(np.asarray(inst.zeros, dtype=float), omega0)
+    if n == len(angles) + 1:
+        angles = np.append(angles, fold_angle(inst.anchor_angle, omega0))
+    angles = np.sort(angles)
+    weights = 1.0 / kernel_diag(table, n - 1, np.exp(1j * angles))
+    worst = 0.0
+    for ks in np.array_split(np.arange(n), -(-n // 32)):
+        vals = np.exp(1j * np.outer(ks, angles)) @ weights
+        worst = max(worst, float(np.max(np.abs(vals - m.window(ks[0], ks[-1])))))
+    return angles, weights, worst
+
+
+def assert_rule_bytes(rule, reference):
+    """Nodes, weights and stamped exactness residual equal the reference bit for bit."""
+    angles, weights, residual = reference
+    assert rule.node_angles.tobytes() == angles.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+    assert np.float64(rule.exactness_residual).tobytes() == np.float64(residual).tobytes()

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from szego_quad import SchurSequence, build_opuc, f_sequence, moments_from_schur, rule_from_sof
 from szego_quad.circle import circular_distance
 
+from conftest import assert_rule_bytes, per_member_rule
+
 
 @st.composite
 def ladders(draw):
@@ -29,6 +31,7 @@ def test_every_ladder_member_drives_a_positive_exact_rule(ladder):
     m = moments_from_schur(schur, n)
     for inst in f_sequence(table, np.exp(1j * anchor), n)[1:]:
         rule = rule_from_sof(table, m, inst)
+        assert_rule_bytes(rule, per_member_rule(table, m, inst, 0.0))
         assert np.all(rule.weights > 0)
         assert abs(rule.weights.sum() - 1.0) < 1e-10
         assert rule.exactness_residual < 1e-9

@@ -11,6 +11,7 @@ from szego_quad import (
     Lebesgue,
     Mixture,
     ModulusMismatch,
+    MomentRangeExceeded,
     SchurSequence,
     ZeroCountMismatch,
     build_opuc,
@@ -39,7 +40,7 @@ from szego_quad.quadrature import (
     resolve_test_function,
 )
 
-from conftest import random_schur
+from conftest import assert_rule_bytes, per_member_rule, random_schur
 
 
 def lebesgue_setup(n):
@@ -339,6 +340,55 @@ def test_rule_from_sof_odd_member_appends_anchor():
     assert rule.order == odd.index
     assert rule.exactness_residual < 1e-10
     assert np.any(np.abs(rule.node_angles - odd.anchor_angle) < 1e-12)
+
+
+def _ladder_case(kind, cap, N, rng):
+    angles = 2 * np.pi * rng.random(3)
+    if kind == "real":
+        # real Schur parameters: conjugate zero pairs, through the cluster path
+        return SchurSequence(cap * (2 * rng.random(N) - 1)), [1.0], 0.0
+    schur = random_schur(rng, N, cap)
+    if kind == "anchors":
+        return schur, list(np.exp(1j * angles[rng.integers(0, 3, N)])), 0.0
+    return schur, [np.exp(1j * angles[0])], -2.0 if kind == "omega0" else 0.0
+
+
+@pytest.mark.parametrize("kind", ["one", "real", "anchors", "omega0"])
+@pytest.mark.parametrize("cap", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("N", [5, 48])
+def test_ladder_rules_equal_the_per_member_formula_bit_for_bit(rng, kind, cap, N):
+    # f_sequence weighs every member's nodes in one kernel sweep; each node
+    # goes through the same operations as in a kernel_diag call of its own
+    schur, anchors, omega0 = _ladder_case(kind, cap, N, rng)
+    table = build_opuc(schur, N)
+    m = moments_from_schur(schur, N)
+    for inst in f_sequence(table, anchors, N, omega0):
+        assert inst.rule_weights is not None
+        assert_rule_bytes(rule_from_sof(table, m, inst), per_member_rule(table, m, inst, omega0))
+        other = omega0 + 1.0
+        ref = per_member_rule(table, m, inst, other)
+        assert_rule_bytes(rule_from_sof(table, m, inst, omega0=other), ref)
+
+
+def test_rule_from_sof_refuses_another_measures_table():
+    rng = np.random.default_rng(5)
+    schur = random_schur(rng, 8)
+    table, m = build_opuc(schur, 8), moments_from_schur(schur, 8)
+    seq = f_sequence(table, np.exp(0.4j), 8)
+    changed = schur.coefficients.copy()
+    changed[4] *= 0.5
+    other = build_opuc(SchurSequence(changed), 8)
+    # a member of order n reads the first n - 1 coefficients only
+    for inst in seq[:5]:
+        assert_rule_bytes(rule_from_sof(other, m, inst), per_member_rule(table, m, inst, 0.0))
+    for inst in seq[5:] + [sof_f1(table, 7, 1.0)]:
+        with pytest.raises(ValueError, match="Schur coefficients differ"):
+            rule_from_sof(other, m, inst)
+    with pytest.raises(ValueError, match=r"kernel degree 7 outside 0\.\.6"):
+        rule_from_sof(build_opuc(schur, 6), m, seq[7])
+    with pytest.raises(MomentRangeExceeded) as exc:
+        rule_from_sof(table, moments_from_schur(schur, 3), seq[5])
+    assert exc.value.detail == {"index": 4, "K": 3}
 
 
 # ---------------------------------------------------------------------------

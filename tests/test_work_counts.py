@@ -4,15 +4,18 @@ A support estimate reads the degrees n_min..n_max of each anchor's family,
 so it solves one CMV eigenproblem per anchor and read degree, and a family
 takes all its anchor values from one recurrence sweep per anchor.  It makes
 one pass over those zero sets: one epsilon-dilation per anchor and read
-degree, one for the balls of the isolated anchors, and no zero cloud.  The
-counters wrap the zero solver the families call, numpy's general eigensolver
-(which serves orders above quadrature.HERMITIAN_MAX_ORDER), the sweep the
-families call and the dilation.
+degree, one for the balls of the isolated anchors, and no zero cloud.  An
+alternating ladder weighs the nodes of all its rules in one kernel sweep.
+The counters wrap the zero solver the families call, numpy's general
+eigensolver (which serves orders above quadrature.HERMITIAN_MAX_ORDER), the
+sweep the families call, the kernel diagonal the ladder and the rules call,
+and the dilation.
 """
 
 import numpy as np
 import pytest
 
+import szego_quad.opuc as opuc
 import szego_quad.sof as sof
 import szego_quad.support as sup
 from szego_quad import (
@@ -23,13 +26,14 @@ from szego_quad import (
     make_pop,
     make_rule,
     moments_from_schur,
+    rule_from_sof,
     support_estimate,
 )
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"solves": 0, "eigvals": 0, "sweeps": 0, "dilations": 0}
+    tally = {"solves": 0, "eigvals": 0, "sweeps": 0, "kernels": 0, "dilations": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -41,6 +45,8 @@ def counts(monkeypatch):
     monkeypatch.setattr(sof, "invariant_zeros", counted(sof.invariant_zeros, "solves"))
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
     monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
+    # kernel_diag runs its recurrence through the module's own szego_sweep
+    monkeypatch.setattr(opuc, "szego_sweep", counted(opuc.szego_sweep, "kernels"))
     monkeypatch.setattr(sup, "_eps_union", counted(sup._eps_union, "dilations"))
     return tally
 
@@ -70,6 +76,20 @@ def test_f_sequence_runs_one_anchor_sweep(counts):
     schur = SchurSequence(0.5 * np.exp(0.7j * np.arange(24)))
     seq = f_sequence(build_opuc(schur, 24), np.exp(1.1j), 24)
     assert len(seq) == 24
+    assert counts["sweeps"] == 1
+    assert counts["solves"] == 23
+
+
+def test_ladder_rules_take_one_kernel_sweep(counts):
+    # f_sequence weighs the nodes of all 24 rules in one kernel_diag call,
+    # and rule_from_sof reads them from the members
+    schur = SchurSequence(0.5 * np.exp(0.7j * np.arange(24)))
+    table = build_opuc(schur, 24)
+    seq = f_sequence(table, np.exp(1.1j), 24)
+    assert counts["kernels"] == 1
+    m = moments_from_schur(schur, 24)
+    assert [rule_from_sof(table, m, inst).order for inst in seq] == list(range(1, 25))
+    assert counts["kernels"] == 1
     assert counts["sweeps"] == 1
     assert counts["solves"] == 23
 
