@@ -190,25 +190,30 @@ def kernel_diag(table: OpucTable, n, z):
     """K_n(z, z) for z on the unit circle, by the normalized recurrence.
 
     Always >= 1 since the degree-zero term contributes 1.  Accepts scalar or
-    array z and returns matching shape.  n is one degree for every point, or
-    an integer array shaped like z with one degree per point: one sweep up to
-    the highest degree then reads each point at its own degree, and since the
-    recurrence is elementwise every value is bit-identical to a call at that
-    point's degree alone.
+    array z and returns matching shape.  n is one integer degree for every
+    point, or an integer array broadcastable to z's shape with one degree
+    per point: one sweep up to the highest degree reads each point at its
+    own degree, and since the recurrence is elementwise every value is
+    bit-identical to a call at that point's degree alone.
     """
     ns = np.asarray(n)
+    if not np.issubdtype(ns.dtype, np.integer):
+        raise ValueError(f"kernel degrees must be integers, got {ns.dtype}")
     outside = ns[(ns < 0) | (ns > table.order)]
     if outside.size:
         raise ValueError(f"kernel degree {outside[0]} outside 0..{table.order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
-    if ns.ndim == 0:
-        acc = szego_values(table.schur, int(ns), zs)[2]
-        return float(acc) if zs.ndim == 0 else acc
-    if ns.shape != zs.shape:
-        raise ValueError(f"{ns.shape} degrees for points of shape {zs.shape}")
+    try:
+        ns = np.broadcast_to(ns, zs.shape)
+    except ValueError:
+        raise ValueError(f"{ns.shape} degrees for points of shape {zs.shape}") from None
+    top = int(ns.max(initial=0))
+    wanted = np.zeros(top + 1, dtype=bool)
+    wanted[ns] = True
     out = np.empty(zs.shape)
-    for k, (_, _, acc) in enumerate(szego_sweep(table.schur, int(ns.max(initial=0)), zs)):
-        at = ns == k
-        out[at] = acc[at]
-    return out
+    for k, (_, _, acc) in enumerate(szego_sweep(table.schur, top, zs)):
+        if wanted[k]:
+            at = ns == k
+            out[at] = acc[at]
+    return float(out) if zs.ndim == 0 else out

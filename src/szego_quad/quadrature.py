@@ -222,27 +222,22 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
     suffice, taken at most 32 rows of the Vandermonde matrix at a time.  The
     blocks are near-equal, so none has a single row: numpy takes a 1-row
     product through dot, which rounds differently from the matrix product."""
-    c = m.c[:order]
-    if len(c) < order:
-        m.take(len(c))  # raises MomentRangeExceeded at the first index past c_K
-    ks = np.arange(order)[:, None]
-    blocks = -(-order // 32)
-    size, longer = divmod(order, blocks)
-    worst, lo = 0.0, 0
-    for b in range(blocks):
-        hi = lo + size + (b < longer)
-        vals = np.exp(1j * (ks[lo:hi] * angles)) @ weights
-        worst = max(worst, float(np.max(np.abs(vals - c[lo:hi]))))
-        lo = hi
+    worst = 0.0
+    for ks in np.array_split(np.arange(order), -(-order // 32)):
+        vals = np.exp(1j * np.outer(ks, angles)) @ weights
+        worst = max(worst, float(np.max(np.abs(vals - m.window(ks[0], ks[-1])))))
     return worst
 
 
-def _kernel_rule(table: OpucTable, m: MomentTable, angles, order, omega0, source, weights=None):
-    """Rule on the given nodes with weights H_k = 1 / K_{n-1}(z_k, z_k), computed
-    here unless given, the exactness defect over the Laurent window |k| <= n - 1
-    stamped on it."""
-    if weights is None:
-        weights = 1.0 / kernel_diag(table, order - 1, np.exp(1j * angles))
+def _kernel_weights(table: OpucTable, degrees, angles):
+    """Weights H_k = 1 / K_{n-1}(z_k, z_k) at the node angles, degrees = n - 1
+    one for all nodes or one per node, from one kernel_diag sweep."""
+    return 1.0 / kernel_diag(table, degrees, np.exp(1j * angles))
+
+
+def _kernel_rule(m: MomentTable, angles, weights, order, omega0, source):
+    """Rule on the given nodes and kernel weights, the exactness defect over
+    the Laurent window |k| <= n - 1 stamped on it."""
     return QuadratureRule(
         order=order,
         node_angles=angles,
@@ -261,18 +256,28 @@ def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -
     window |k| <= n - 1 is stamped on the rule for inspection.
     """
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
-    return _kernel_rule(table, m, pop_zeros(pop, omega0), pop.order, omega0, src)
+    angles = pop_zeros(pop, omega0)
+    weights = _kernel_weights(table, pop.order - 1, angles)
+    return _kernel_rule(m, angles, weights, pop.order, omega0, src)
 
 
-def member_rule_angles(zeros, order, anchor_angle, omega0) -> np.ndarray:
-    """Sorted nodes in [omega0, omega0 + 2 pi) of the order-point rule of a
-    semi-orthogonal member: its zeros, plus the anchor when it has order - 1."""
-    angles = fold_angle(np.asarray(zeros, dtype=float), omega0)
-    if order == len(angles) + 1:
-        angles = np.append(angles, fold_angle(anchor_angle, omega0))
-    elif order != len(angles):
-        raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
-    return np.sort(angles)
+def member_rule_parts(table: OpucTable, zeros_list, orders, anchor_angles, omega0):
+    """(nodes, weights) of the order-point rules of several semi-orthogonal
+    members from one kernel sweep.  The nodes of a member are its zeros, plus
+    its anchor when it has order - 1 of them, folded into [omega0, omega0 +
+    2 pi) and sorted; each is weighed by 1 / K_{order-1} at its member's
+    order, bit-identical to a kernel_diag call per member."""
+    nodes = []
+    for zeros, order, anchor_angle in zip(zeros_list, orders, anchor_angles):
+        angles = fold_angle(np.asarray(zeros, dtype=float), omega0)
+        if order == len(angles) + 1:
+            angles = np.append(angles, fold_angle(anchor_angle, omega0))
+        elif order != len(angles):
+            raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
+        nodes.append(np.sort(angles))
+    orders = np.asarray(orders, dtype=int)
+    weights = _kernel_weights(table, np.repeat(orders - 1, orders), np.concatenate(nodes))
+    return list(zip(nodes, np.split(weights, np.cumsum(orders)[:-1])))
 
 
 def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> QuadratureRule:
@@ -283,8 +288,8 @@ def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> Quadra
     weights are the table's kernel and the nodes the member's zeros, so a
     table whose first order - 1 Schur coefficients differ from the member's
     raises ValueError.  A member that carries its rule nodes and weights
-    (f_sequence builds them in one kernel sweep) has them taken as they are
-    when omega0 is its own window; only the exactness defect is stamped.
+    (f_sequence builds them with member_rule_parts) has them taken as they
+    are when omega0 is its own window; only the exactness defect is stamped.
     """
     omega0 = float(inst.omega0 if omega0 is None else omega0)
     order = int(inst.index)
@@ -299,8 +304,10 @@ def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> Quadra
     if getattr(inst, "rule_weights", None) is not None and omega0 == inst.omega0:
         angles, weights = inst.rule_angles, inst.rule_weights
     else:
-        angles, weights = member_rule_angles(inst.zeros, order, inst.anchor_angle, omega0), None
-    return _kernel_rule(table, m, angles, order, omega0, src, weights)
+        ((angles, weights),) = member_rule_parts(
+            table, [inst.zeros], [order], [inst.anchor_angle], omega0
+        )
+    return _kernel_rule(m, angles, weights, order, omega0, src)
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:

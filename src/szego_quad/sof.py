@@ -23,8 +23,9 @@ sign-flipped sequence when a second-kind part is present): Phi_n(w) and
 Omega_n(w) both come from the normalized recurrence (Omega_n is Phi_n of the
 sign-flipped Schur sequence), not from a monic table, and the zeros are CMV
 eigenvalues (invariant_zeros).  sof_combo is its one-degree call.  The
-alternating ladder f_sequence also weighs the rule nodes of all its members
-in one kernel_diag sweep, so its rules cost no further recurrence runs.  Values
+alternating ladder f_sequence also takes the rules of all its members from
+one quadrature.member_rule_parts call, one kernel_diag sweep for all of
+them, so its rules cost no further recurrence runs.  Values
 use the same recurrence, phi_n = Phi_n / sqrt(e_n): f_n = 2 sqrt(e_n) Im u
 with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2}, and at a zero the
 Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z) / |phi_n(z)|^2;
@@ -35,15 +36,15 @@ sof_combo and zero_cloud are accepted and not read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
 from .errors import OffCircle, PhaseLeak, ZeroCoefficient
-from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, kernel_diag, szego_sweep, szego_values
+from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, szego_sweep, szego_values
 from .poly import ComplexPolynomial
-from .quadrature import invariant_zeros, member_rule_angles
+from .quadrature import invariant_zeros, member_rule_parts
 
 _ANCHOR_TOL = 1e-9
 
@@ -209,25 +210,6 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
     ZeroCoefficient is raised at the first degree whose alpha_n vanishes
     relative to its terms.
     """
-    w, angle, parts = _member_parts(table, spec, degrees)
-    return [
-        SofInstance(
-            n=n,
-            index=n,
-            alpha=alpha,
-            table=table,
-            w=w,
-            anchor_angle=angle,
-            omega0=float(spec.omega0),
-            zeros=zeros,
-            label=f"{spec.tag}n={n})",
-        )
-        for n, alpha, zeros in parts
-    ]
-
-
-def _member_parts(table: OpucTable, spec: SofFamilySpec, degrees):
-    """The anchor w, its angle and (n, alpha_n, zeros) per degree: the body of sof_members."""
     degrees = [int(n) for n in degrees]
     for n in degrees:
         if not 1 <= n <= table.order:
@@ -243,7 +225,7 @@ def _member_parts(table: OpucTable, spec: SofFamilySpec, degrees):
     phi = anchor_values(table.schur) if A != 0 else None
     # Omega_n is Phi_n of the sign-flipped sequence, with the same e_n
     omega = anchor_values(SchurSequence(-table.schur.coefficients[:top])) if B != 0 else None
-    parts = []
+    members = []
     for n in degrees:
         root_e = np.sqrt(table.e[n])
         terms = []
@@ -261,8 +243,20 @@ def _member_parts(table: OpucTable, spec: SofFamilySpec, degrees):
         if B == 0:
             zeros[np.argmin(circular_distance(zeros, angle))] = angle
             zeros.sort()
-        parts.append((n, complex(alpha), zeros))
-    return w, angle, parts
+        members.append(
+            SofInstance(
+                n=n,
+                index=n,
+                alpha=complex(alpha),
+                table=table,
+                w=w,
+                anchor_angle=angle,
+                omega0=float(spec.omega0),
+                zeros=zeros,
+                label=f"{spec.tag}n={n})",
+            )
+        )
+    return members
 
 
 def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:
@@ -275,11 +269,11 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
     first-kind member without the anchor; the anchor re-enters as the extra
     quadrature node; it keeps the first-kind alpha.  F_1 is the constant 1
     with no zeros.  The members anchored at one point come from one
-    recurrence sweep at that anchor, so one sweep per distinct anchor.  Each
+    sof_members call, so one recurrence sweep per distinct anchor.  Each
     member F_j carries the nodes and weights of its order-j rule
-    (rule_angles, rule_weights), which rule_from_sof takes as they are: one
-    kernel_diag sweep, each node read at its member's degree j - 1, gives
-    the weights of every member at once.
+    (rule_angles, rule_weights), which rule_from_sof takes as they are:
+    member_rule_parts weighs the nodes of every member at once, each at its
+    member's degree j - 1, in one kernel_diag sweep.
     """
     count = int(count)
     if count < 1:
@@ -291,45 +285,46 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
         raise ValueError(f"need {count} anchors, got {len(ws)}")
     if table.order < count:
         raise ValueError(f"table order {table.order} below sequence length {count}")
-    omega0 = float(omega0)
     w, angle = _canonical_anchor(ws[0], omega0)
-    # index -> (alpha, anchor, anchor angle, zeros); F_1 has no alpha and no zeros
-    parts = {1: (None, w, angle, np.empty(0, dtype=float))}
+    members = [
+        SofInstance(
+            n=0,
+            index=1,
+            alpha=None,
+            table=table,
+            w=w,
+            anchor_angle=angle,
+            omega0=float(omega0),
+            zeros=np.empty(0, dtype=float),
+            label="F_1",
+        )
+    ]
     by_anchor = {}
     for idx in range(2, count + 1):
         by_anchor.setdefault(complex(ws[idx - 1]), []).append(idx)
+    first_kind = {}
     for anchor, indices in by_anchor.items():
-        aw, at, first_kind = _member_parts(table, SofFamilySpec.f1(anchor, omega0), indices)
-        for idx, (_, alpha, zeros) in zip(indices, first_kind):
-            if idx % 2:
-                # the anchor is an exact zero of the first-kind member; dividing
-                # it out leaves the |z - w|^2-modified member of degree idx - 1
-                zeros = np.delete(zeros, int(np.argmin(circular_distance(zeros, at))))
-            parts[idx] = alpha, aw, at, zeros
-    nodes = [member_rule_angles(parts[j][3], j, parts[j][2], omega0) for j in range(1, count + 1)]
-    # F_j has j nodes, each weighed by K_{j-1}
-    degrees = np.repeat(np.arange(count), np.arange(1, count + 1))
-    weights = 1.0 / kernel_diag(table, degrees, np.exp(1j * np.concatenate(nodes)))
-    weights.flags.writeable = False
+        family = SofFamilySpec.f1(anchor, omega0)
+        first_kind.update(zip(indices, sof_members(table, family, indices)))
+    for idx in range(2, count + 1):
+        inst = first_kind[idx]
+        if idx % 2:
+            # the anchor is an exact zero of the first-kind member; dividing
+            # it out leaves the |z - w|^2-modified member of degree idx - 1
+            drop = int(np.argmin(circular_distance(inst.zeros, inst.anchor_angle)))
+            inst = replace(inst, n=idx - 1, zeros=np.delete(inst.zeros, drop))
+        members.append(inst)
+    rules = member_rule_parts(
+        table,
+        [inst.zeros for inst in members],
+        range(1, count + 1),
+        [inst.anchor_angle for inst in members],
+        omega0,
+    )
     out = []
-    for j, angles in enumerate(nodes, start=1):
-        alpha, aw, at, zeros = parts[j]
-        angles.flags.writeable = False
-        out.append(
-            SofInstance(
-                n=j - j % 2,
-                index=j,
-                alpha=alpha,
-                table=table,
-                w=aw,
-                anchor_angle=at,
-                omega0=omega0,
-                zeros=zeros,
-                label=f"F_{j}",
-                rule_angles=angles,
-                rule_weights=weights[j * (j - 1) // 2 : j * (j + 1) // 2],
-            )
-        )
+    for idx, (inst, (angles, weights)) in enumerate(zip(members, rules), start=1):
+        angles.flags.writeable = weights.flags.writeable = False
+        out.append(replace(inst, label=f"F_{idx}", rule_angles=angles, rule_weights=weights))
     return out
 
 

@@ -9,8 +9,10 @@ own update formulas.
 import numpy as np
 import pytest
 
-from szego_quad import SchurSequence, kernel_diag
+from szego_quad import SchurSequence
 from szego_quad.circle import fold_angle
+from szego_quad.opuc import szego_values
+from szego_quad.quadrature import _exactness_residual
 
 
 @pytest.fixture
@@ -63,19 +65,15 @@ def lebesgue_cget(k):
 def per_member_rule(table, m, inst, omega0):
     """The rule of one semi-orthogonal member by the per-member formula: its zeros
     (plus the anchor when it carries one fewer) folded into the window and sorted,
-    weights 1 / K_{n-1} from kernel_diag at that one degree, and the exactness
-    defect over k = 0..n - 1 in np.array_split row blocks against m.window."""
+    weights 1 / K_{n-1} from the last step of a recurrence sweep to that one
+    degree, and the exactness defect stamped on those nodes and weights."""
     n = inst.index
     angles = fold_angle(np.asarray(inst.zeros, dtype=float), omega0)
     if n == len(angles) + 1:
         angles = np.append(angles, fold_angle(inst.anchor_angle, omega0))
     angles = np.sort(angles)
-    weights = 1.0 / kernel_diag(table, n - 1, np.exp(1j * angles))
-    worst = 0.0
-    for ks in np.array_split(np.arange(n), -(-n // 32)):
-        vals = np.exp(1j * np.outer(ks, angles)) @ weights
-        worst = max(worst, float(np.max(np.abs(vals - m.window(ks[0], ks[-1])))))
-    return angles, weights, worst
+    weights = 1.0 / szego_values(table.schur, n - 1, np.exp(1j * angles))[2]
+    return angles, weights, _exactness_residual(m, angles, weights, n)
 
 
 def assert_rule_bytes(rule, reference):

@@ -197,17 +197,20 @@ def test_kernel_degree_range():
         kernel_diag(t, np.array([2, 7, -1]), np.ones(3))
     with pytest.raises(ValueError, match="degrees for points"):
         kernel_diag(t, np.array([2, 3]), np.ones(3))
+    for degree in (2.5, np.array([1.5]), 2.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            kernel_diag(t, degree, np.ones(1))
 
 
-def test_kernel_diag_per_point_degrees_match_single_degree_calls(rng):
+def test_kernel_diag_per_point_degrees_match_single_degree_sweeps(rng):
     # one sweep for points of mixed degrees; each value is bit-identical to
-    # the call at its own degree
+    # the last step of a recurrence sweep to its own degree
     t = build_opuc(random_schur(rng, 20, cap=0.9), 20)
     z = np.exp(2j * np.pi * rng.random((3, 7)))
     n = rng.integers(0, 21, z.shape)
     got = kernel_diag(t, n, z)
     assert got.shape == z.shape
-    want = np.array([kernel_diag(t, int(k), np.array([p]))[0] for k, p in zip(n.flat, z.flat)])
+    want = np.array([szego_values(t.schur, int(k), [p])[2][0] for k, p in zip(n.flat, z.flat)])
     assert got.ravel().tobytes() == want.tobytes()
 
 
