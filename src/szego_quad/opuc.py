@@ -6,20 +6,22 @@ The whole package is driven by the recurrence
 
 where a_n = Phi_n(0) are the Schur parameters (all strictly inside the unit
 disk) and the star denotes the conjugate-reversed polynomial of declared
-degree n.  Squared norms follow as e_0 = 1, e_n = prod_k (1 - |a_k|^2), and
-the reproducing kernel of degree n is K_n(z, y) = sum_k Phi_k(z)
-conj(Phi_k(y)) / e_k.  Values and kernel diagonals K_n(z, z) come from the
-normalized recurrence, zeros and moments from the CMV matrix (cmv_matrix).
-szego_sweep yields every degree of one recurrence run and szego_values is
-its last step, so a family anchored at w takes all its degrees from one
-sweep at w, and one kernel_diag sweep reads each point at its own degree.
-A table holds only the Schur parameters and the norms; its monic Phi_n and
-Phi_n* are built on first read, for output and test oracles.
+degree n.  A SchurSequence holds the recurrence state, each part formed once:
+a_n, rho_n = sqrt(1 - |a_n|^2) and the squared norms e_0 = 1, e_n = prod_k
+(1 - |a_k|^2), and every reader takes rho and e from it.  The reproducing
+kernel of degree n is K_n(z, y) = sum_k Phi_k(z) conj(Phi_k(y)) / e_k.
+Values and kernel diagonals K_n(z, z) come from the normalized recurrence,
+zeros and moments from the CMV matrix (cmv_matrix).  szego_sweep yields
+every degree of one recurrence run and szego_values is its last step, so a
+family anchored at w takes all its degrees from one sweep at w, and one
+kernel_diag sweep reads each point at its own degree.  A table holds only
+the Schur parameters and a view of their norms; its monic Phi_n and Phi_n*
+are built on first read, for output and test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,12 +35,16 @@ CIRCLE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SchurSequence:
-    """Schur (reflection) coefficients a_1, a_2, ... with every |a_n| < 1."""
+    """Schur (reflection) coefficients a_1, a_2, ... with every |a_n| < 1, and from
+    them, once and read-only, rho_n = sqrt(1 - |a_n|^2) and e_0 = 1, e_n = e_{n-1}
+    (1 - |a_n|^2); |-a| = |a| bit for bit, so the sequence -a has the same rho and e."""
 
     coefficients: np.ndarray
+    rho: np.ndarray = field(init=False, repr=False)
+    e: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        c = np.atleast_1d(np.array(self.coefficients, dtype=complex))
         if c.ndim != 1:
             raise ValueError("Schur coefficients must form a one-dimensional sequence")
         mags = np.abs(c)
@@ -50,9 +56,11 @@ class SchurSequence:
                 n=n_bad,
                 magnitude=float(mags[n_bad - 1]),
             )
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
+        one_minus = 1.0 - mags**2
+        e = np.concatenate(([1.0], np.cumprod(one_minus)))
+        for name, arr in (("coefficients", c), ("rho", np.sqrt(one_minus)), ("e", e)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def zeros(cls, n):
@@ -96,7 +104,7 @@ class OpucTable:
 
 
 def build_opuc(schur: SchurSequence, n_max: int) -> OpucTable:
-    """Table of the first n_max Schur parameters with e_0 = 1, e_n = e_{n-1} (1 - |a_n|^2)."""
+    """Table of the first n_max Schur parameters with their norms schur.e[: n_max + 1]."""
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -104,11 +112,7 @@ def build_opuc(schur: SchurSequence, n_max: int) -> OpucTable:
         raise ValueError(
             f"n_max = {n_max} exceeds the {schur.max_order} available Schur coefficients"
         )
-    e = np.ones(n_max + 1)
-    for n in range(n_max):
-        e[n + 1] = e[n] * (1.0 - abs(schur.a(n + 1)) ** 2)
-    e.flags.writeable = False
-    return OpucTable(schur=schur, e=e, order=n_max)
+    return OpucTable(schur=schur, e=schur.e[: n_max + 1], order=n_max)
 
 
 def reverse(p: ComplexPolynomial, declared_degree=None) -> ComplexPolynomial:
@@ -142,14 +146,13 @@ def _check_on_circle(z):
 def szego_sweep(schur: SchurSequence, n: int, z):
     """Yield (phi_k(z), phi_k*(z), sum_{j<=k} |phi_j(z)|^2) for k = 0..n, shaped like z,
     by phi_{k+1} = (z phi_k + a_{k+1} phi_k*) / rho_{k+1} and phi_{k+1}* = (phi_k* +
-    conj(a_{k+1}) z phi_k) / rho_{k+1}, rho = sqrt(1 - |a|^2); phi_k = Phi_k / sqrt(e_k),
+    conj(a_{k+1}) z phi_k) / rho_{k+1}, rho read from schur; phi_k = Phi_k / sqrt(e_k),
     and the sum is K_k(z, z) on the circle.  One sweep serves every degree up to n."""
     z = np.asarray(z, dtype=complex)
     p = s = np.ones(z.shape, dtype=complex)
     acc = np.ones(z.shape, dtype=float)
     yield p, s, acc
-    for a in schur.coefficients[:n]:
-        rho = np.sqrt(1.0 - abs(a) ** 2)
+    for a, rho in zip(schur.coefficients[:n], schur.rho[:n]):
         zp = z * p
         p, s = (zp + a * s) / rho, (s + np.conj(a) * zp) / rho
         acc = acc + np.abs(p) ** 2
@@ -168,14 +171,10 @@ def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
 
     Simon's convention (Cantero-Moral-Velazquez, LAA 362, 2003) for the parameters
     g = -conj(a_1), ..., -conj(a_{n-1}), -conj(lam): blocks [[conj(g), rho], [rho, -g]],
-    even ones in L, odd ones in M after its leading 1, the last one as conj(g) alone.
-
-    rho comes from the vectorised np.abs here and from the scalar abs in szego_sweep.
-    The two moduli differ in the last bit for about a third of random coefficients,
-    and rho then by up to 2 ulps at |a| < 0.6 and 9 ulps at |a| < 0.9.  Both stay as
-    they are: either change moves the bits of the n = 256 nodes or weights."""
+    even ones in L, odd ones in M after its leading 1, the last one as conj(g) alone;
+    rho_1..rho_{n-1} are read from schur, since |g_k| = |a_k|."""
     g = np.append(-np.conj(schur.coefficients[: n - 1]), -np.conj(complex(lam)))
-    rho = np.sqrt(1.0 - np.abs(g[:-1]) ** 2)
+    rho = schur.rho[: n - 1]
     L, M = np.zeros((2, n, n), dtype=complex)
     M[0, 0] = 1.0
     for blk, js in ((L, np.arange(0, n - 1, 2)), (M, np.arange(1, n - 1, 2))):

@@ -9,7 +9,7 @@ own update formulas.
 import numpy as np
 import pytest
 
-from szego_quad import SchurSequence
+from szego_quad import SchurSequence, build_opuc, make_pop, make_rule, moments_from_schur
 from szego_quad.circle import fold_angle
 from szego_quad.opuc import szego_values
 from szego_quad.quadrature import _exactness_residual
@@ -25,6 +25,21 @@ def random_schur(rng, n, cap=0.6):
     mags = cap * rng.random(n)
     phases = 2 * np.pi * rng.random(n)
     return SchurSequence(mags * np.exp(1j * phases))
+
+
+def fixed_rule_schur(stream, cap, n=256):
+    """|a_k| uniform on [0, cap), phases uniform: the draw of stream `stream` of
+    the benchmark's fixed rules (bench/workloads.py, magnitudes first, then
+    phases)."""
+    rng = np.random.default_rng([stream, 99])
+    mags = cap * rng.random(n)
+    return SchurSequence(mags * np.exp(2j * np.pi * rng.random(n)))
+
+
+def pop_rule(schur, n):
+    """The rule of Phi_n + Phi_n*, as the benchmark's rule ops build it."""
+    table = build_opuc(schur, n)
+    return make_rule(table, moments_from_schur(schur, n), make_pop(table, n, 1.0, 1.0))
 
 
 def poly_inner(p, q, cget):

@@ -1,0 +1,44 @@
+"""A ledger of the paper's guarantees at the degrees users request.
+
+Each known defect is an example marked xfail(strict=True) that names the
+ROADMAP item meant to mend it.  The fix turns the example into a pass, which
+strict mode reports as a failure until the fixing change removes the mark.
+The tolerances are the README's: exactness of a rule at 1e-9.
+"""
+
+import numpy as np
+import pytest
+
+from szego_quad import ArcDensity, IntegrationResolution, NotPositiveDefinite, schur_from_measure
+
+from conftest import fixed_rule_schur, pop_rule
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: n = 256 kernel weights lack relative accuracy "
+    "(stamped residual 0.998 at cap 0.9, 7.5e-7 at cap 0.6)",
+)
+@pytest.mark.parametrize("cap, stream", [(0.9, 1), (0.6, 1)])
+def test_n256_rule_is_exact_on_its_window(cap, stream):
+    rule = pop_rule(fixed_rule_schur(stream, cap), 256)
+    assert rule.exactness_residual <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IntegrationResolution,
+    reason="ROADMAP item 2: value extraction drifts by 4.4e-9 at index 48 under grid doubling",
+)
+def test_half_circle_extraction_reaches_degree_60():
+    assert schur_from_measure(ArcDensity("uniform", (0, np.pi)), 60).max_order == 60
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NotPositiveDefinite,
+    reason="ROADMAP item 2: value extraction on the narrow arc finds |a_27| > 1",
+)
+def test_narrow_hann_extraction_reaches_degree_32():
+    assert schur_from_measure(ArcDensity("hann", (1, 2)), 32).max_order == 32
