@@ -24,7 +24,6 @@ from .measures import (
     Mixture,
     MomentTable,
     christoffel_moments,
-    inner_product,
     measure_integral,
     moments,
     moments_from_schur,
@@ -40,7 +39,7 @@ from .opuc import (
     reverse,
     second_kind,
 )
-from .poly import ComplexPolynomial, LaurentPolynomial
+from .poly import ComplexPolynomial
 from .quadrature import (
     InvariantPop,
     QuadratureRule,

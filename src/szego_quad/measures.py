@@ -33,7 +33,6 @@ from .opuc import (
     SchurSequence,
     cmv_matrix,
 )
-from .poly import ComplexPolynomial, LaurentPolynomial
 
 RESOLUTION_TOL = 1e-10
 # schur_from_moments stops where e_n departs from e_{n-1} (1 - |a_n|^2) by
@@ -423,26 +422,7 @@ def measure_integral(spec: MeasureSpec, fn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inner products and Schur extraction
-
-
-def _laurent_parts(f):
-    if isinstance(f, ComplexPolynomial):
-        return f.coeffs, 0
-    if isinstance(f, LaurentPolynomial):
-        return f.coeffs, f.low
-    raise TypeError("expected ComplexPolynomial or LaurentPolynomial")
-
-
-def inner_product(m: MomentTable, f, g) -> complex:
-    """Sesquilinear moment form <f, g> = L[f conj(g)], linear in f.
-
-    <z^j, z^k> = c_{j-k}; raises MomentRangeExceeded if the power spread of
-    the pair exceeds the table.
-    """
-    (fc, flo), (gc, glo) = _laurent_parts(f), _laurent_parts(g)
-    ks = np.subtract.outer(flo + np.arange(len(fc)), glo + np.arange(len(gc)))
-    return complex(fc @ m.take(ks) @ np.conj(gc))
+# Schur extraction
 
 
 def _degenerate(n, what, **detail):
@@ -538,11 +518,11 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
 def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
     """Schur coefficients of the measure, extracted in value space.
 
-    Recovering a_n from a finite moment table is limited by the Toeplitz
-    conditioning, which for arc-supported measures decays geometrically;
-    working on a positive-weight discretization of the measure itself
-    sidesteps that and stays accurate to degree 30 and beyond.  Resolution
-    is validated by grid doubling, as for moments.
+    The discretized measure avoids the Toeplitz solve of schur_from_moments,
+    but on arcs accuracy still falls with e_n: grid doubling holds to n_max = 48
+    on the uniform half circle, 24 on the uniform arc [1, 3], 12 on hann [1, 2].
+    Past that, IntegrationResolution names the drift and the first drifting
+    degree, or NotPositiveDefinite the first with e_n <= 0 or |a_n| > SCHUR_GUARD.
     """
     n_max = int(n_max)
     if n_max < 0:

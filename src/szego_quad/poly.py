@@ -1,8 +1,6 @@
-"""Dense complex polynomial and Laurent polynomial arithmetic."""
+"""Dense complex polynomial arithmetic."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -120,26 +118,3 @@ class ComplexPolynomial:
 
     def __repr__(self):
         return f"ComplexPolynomial(degree={self.degree})"
-
-
-@dataclass(frozen=True, eq=False)
-class LaurentPolynomial:
-    """Coefficients for powers z^low .. z^(low + len(coeffs) - 1)."""
-
-    coeffs: np.ndarray
-    low: int
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "low", int(self.low))
-
-    @property
-    def high(self):
-        return self.low + len(self.coeffs) - 1
-
-    def value(self, z):
-        return npoly.polyval(z, self.coeffs) * np.asarray(z, dtype=complex) ** self.low
-
-    def at_angle(self, theta):
-        return self.value(np.exp(1j * np.asarray(theta, dtype=float)))

@@ -300,8 +300,8 @@ def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> Quadra
         table.schur.coefficients[:k], inst.table.schur.coefficients[:k]
     ):
         raise ValueError(f"the table's first {k} Schur coefficients differ from the member's")
-    src = f"sof({inst.label})" if getattr(inst, "label", "") else "sof"
-    if getattr(inst, "rule_weights", None) is not None and omega0 == inst.omega0:
+    src = f"sof({inst.label})" if inst.label else "sof"
+    if inst.rule_weights is not None and omega0 == inst.omega0:
         angles, weights = inst.rule_angles, inst.rule_weights
     else:
         ((angles, weights),) = member_rule_parts(

@@ -9,7 +9,18 @@ The tolerances are the README's: exactness of a rule at 1e-9.
 import numpy as np
 import pytest
 
-from szego_quad import ArcDensity, IntegrationResolution, NotPositiveDefinite, schur_from_measure
+from szego_quad import (
+    ArcDensity,
+    Atomic,
+    IntegrationResolution,
+    Mixture,
+    NotPositiveDefinite,
+    SofFamilySpec,
+    build_opuc,
+    interlace_check,
+    schur_from_measure,
+    sof_members,
+)
 
 from conftest import fixed_rule_schur, pop_rule
 
@@ -42,3 +53,28 @@ def test_half_circle_extraction_reaches_degree_60():
 )
 def test_narrow_hann_extraction_reaches_degree_32():
     assert schur_from_measure(ArcDensity("hann", (1, 2)), 32).max_order == 32
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IntegrationResolution,
+    reason="ROADMAP item 2: value extraction on the uniform arc [1, 3] drifts by 4.4e-8 "
+    "at index 25 under grid doubling (every n_max from 25 to 52 fails)",
+)
+def test_uniform_arc_extraction_reaches_degree_32():
+    assert schur_from_measure(ArcDensity("uniform", (1, 3)), 32).max_order == 32
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: first-kind zeros of orders 11 and 12 lie 4.1e-14 apart next to "
+    "the atom at 4, below interlace_check's fixed 1e-12 coincidence rule",
+)
+def test_first_kind_members_interlace_next_to_an_atom():
+    spec = Mixture(((1.0, ArcDensity("uniform", (0.5, 2.0))), (1.0, Atomic(((4.0, 1.0),)))))
+    table = build_opuc(schur_from_measure(spec, 16), 16)
+    family = SofFamilySpec.f1(np.exp(0.9j), 0.9)
+    f11, f12 = sof_members(table, family, (11, 12))
+    result = interlace_check(f11.zeros, f12.zeros, family.omega0, family.anchor_angle)
+    assert result.ok, result.witness

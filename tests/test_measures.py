@@ -9,7 +9,6 @@ import szego_quad.measures as meas
 from szego_quad import (
     ArcDensity,
     Atomic,
-    ComplexPolynomial,
     ConfigError,
     Density,
     IntegrationResolution,
@@ -22,7 +21,6 @@ from szego_quad import (
     SchurSequence,
     build_opuc,
     christoffel_moments,
-    inner_product,
     measure_integral,
     moments,
     moments_from_schur,
@@ -30,9 +28,8 @@ from szego_quad import (
     schur_from_measure,
     schur_from_moments,
 )
-from szego_quad.poly import LaurentPolynomial
 
-from conftest import random_schur
+from conftest import poly_inner, random_schur
 
 ARC = (np.pi / 2, 3 * np.pi / 2)
 
@@ -354,51 +351,32 @@ def test_measure_integral_unknown_density_is_config_error():
 
 
 # ---------------------------------------------------------------------------
-# inner products
-
-
-def test_inner_product_examples():
-    m = moments(Lebesgue(), 5)
-    one = ComplexPolynomial([1.0])
-    assert inner_product(m, one, one) == 1.0
-    for j in range(4):
-        for k in range(4):
-            mono_j = ComplexPolynomial.monomial(j)
-            mono_k = ComplexPolynomial.monomial(k)
-            assert inner_product(m, mono_j, mono_k) == (1.0 if j == k else 0.0)
+# the moment form
 
 
 def test_inner_product_norm_matches_table():
-    s = SchurSequence([0.5])
-    m = moments_from_schur(s, 1)
-    phi1 = ComplexPolynomial([0.5, 1.0])
-    assert abs(inner_product(m, phi1, phi1) - 0.75) < 1e-15
+    m = moments_from_schur(SchurSequence([0.5]), 1)
+    assert abs(poly_inner([0.5, 1.0], [0.5, 1.0], m.get) - 0.75) < 1e-15
 
 
-def test_inner_product_hermitian(rng):
-    s = random_schur(rng, 5)
-    m = moments_from_schur(s, 5)
-    f = LaurentPolynomial(rng.standard_normal(3) + 1j * rng.standard_normal(3), low=-1)
-    g = LaurentPolynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4), low=0)
-    assert abs(inner_product(m, f, g) - np.conj(inner_product(m, g, f))) < 1e-12
-
-
-def test_inner_product_range_guard():
+def test_moment_window_range_guard():
     m = moments(Lebesgue(), 2)
-    with pytest.raises(MomentRangeExceeded):
-        inner_product(m, ComplexPolynomial.monomial(3), ComplexPolynomial([1.0]))
-
-
-def test_inner_product_range_guard_names_first_index_used():
-    # the first out-of-range power difference in row-major order, on both sides
-    m = MomentTable([1.0, 0.1, 0.2, 0.05])
-    one, big = ComplexPolynomial([1.0]), ComplexPolynomial([0, 0, 0, 0, 1.0, 1.0])
     with pytest.raises(MomentRangeExceeded) as exc:
-        inner_product(m, one, big)
+        m.window(0, 3)
+    assert exc.value.detail == {"index": 3, "K": 2}
+
+
+def test_moment_take_range_guard_names_first_index_in_c_order():
+    # a 2-D index array raises at its first out-of-range entry in C order,
+    # not the first in column order or the largest
+    m = MomentTable([1.0, 0.1, 0.2, 0.05])
+    ks = np.array([[0, -4, 2], [5, 1, -6]])
+    with pytest.raises(MomentRangeExceeded) as exc:
+        m.take(ks)
     assert exc.value.detail == {"index": -4, "K": 3}
     with pytest.raises(MomentRangeExceeded) as exc:
-        inner_product(m, big, one)
-    assert exc.value.detail == {"index": 4, "K": 3}
+        m.take(ks.T)
+    assert exc.value.detail == {"index": 5, "K": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from szego_quad import (
     build_opuc,
     christoffel_moments,
     f_sequence,
-    inner_product,
     kernel_diag,
     make_pop,
     moments_from_schur,
@@ -21,9 +20,8 @@ from szego_quad import (
     sof_f1,
 )
 from szego_quad.opuc import cmv_matrix, szego_sweep, szego_values
-from szego_quad.poly import LaurentPolynomial
 
-from conftest import gram_schmidt_monic, random_schur
+from conftest import gram_schmidt_monic, poly_inner, random_schur
 
 
 def test_schur_sequence_guard():
@@ -80,14 +78,11 @@ def test_orthogonality_against_moments(rng):
     table = build_opuc(s, 10)
     m = moments_from_schur(s, 10)
     for n in (3, 7, 10):
-        phi = LaurentPolynomial(table.phi[n].coeffs, low=0)
+        phi = table.phi[n].coeffs
         for k in range(n):
-            mono = LaurentPolynomial(np.array([1.0 + 0j]), low=k)
-            assert abs(inner_product(m, phi, mono)) < 1e-9
-        assert abs(inner_product(m, phi, phi) - table.e[n]) < 1e-9
-        star = LaurentPolynomial(table.phi_star[n].coeffs, low=0)
-        one = LaurentPolynomial(np.array([1.0 + 0j]), low=0)
-        assert abs(inner_product(m, star, one) - table.e[n]) < 1e-9
+            assert abs(poly_inner(phi, ComplexPolynomial.monomial(k).coeffs, m.get)) < 1e-9
+        assert abs(poly_inner(phi, phi, m.get) - table.e[n]) < 1e-9
+        assert abs(poly_inner(table.phi_star[n].coeffs, [1.0], m.get) - table.e[n]) < 1e-9
 
 
 def test_reverse_examples():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from szego_quad import ComplexPolynomial, LaurentPolynomial
+from szego_quad import ComplexPolynomial
 
 
 def test_trim_and_degree():
@@ -97,11 +97,3 @@ def test_derivative():
 def test_shifted():
     p = ComplexPolynomial([1.0, 2.0])
     assert np.allclose(p.shifted(2).coeffs, [0, 0, 1.0, 2.0])
-
-
-def test_laurent_value():
-    f = LaurentPolynomial(np.array([1.0, 0.0, 1.0], dtype=complex), low=-1)
-    z = np.exp(0.4j)
-    assert abs(f.value(z) - (1 / z + z)) < 1e-14
-    assert f.high == 1
-    assert abs(f.at_angle(0.4) - 2 * np.cos(0.4)) < 1e-14

@@ -8,7 +8,7 @@ module (``sq.moments``, ``mods["quadrature"].circle_zero_angles``); a string
 such as a span name in ``bench/tracing.py`` does not count.  Two kinds of
 names pass on other grounds: an error class must be raised by some module
 of the package, and a type passes when an exported function returns it.
-The few names that only a test reads pass when that test uses them as its
+A name that only a test reads passes when that test uses it as its
 reference; ``TEST_REFERENCES`` names the test, and the name must still
 appear in it.
 """
@@ -26,7 +26,6 @@ PACKAGE = ""  # the szego_quad namespace itself, as the module of a read
 # name -> (test file, the function in it that compares against the name)
 TEST_REFERENCES = {
     "accumulation_set": ("test_support.py", "per_anchor_estimate"),
-    "inner_product": ("test_opuc.py", "test_orthogonality_against_moments"),
 }
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +41,7 @@ from szego_quad.quadrature import (
     resolve_test_function,
 )
 
+import mp_reference
 from conftest import assert_rule_bytes, fixed_rule_schur, per_member_rule, pop_rule, random_schur
 
 
@@ -394,46 +394,7 @@ def test_rule_from_sof_refuses_another_measures_table():
 
 
 # ---------------------------------------------------------------------------
-# a cap-0.9 sequence at n = 256, against mpmath references
-
-
-def mp_newton_angles(coeffs, angles):
-    """One 30-digit Newton step on Phi_n + Phi_n* from every angle, with the
-    value and derivative taken by the monic Szego recurrence in mpmath."""
-    out = []
-    with mpmath.workdps(30):
-        a = [(mpmath.mpc(complex(x)), mpmath.mpc(complex(x).conjugate())) for x in coeffs]
-        for theta in angles:
-            z = mpmath.expj(mpmath.mpf(float(theta)))
-            p = s = mpmath.mpc(1)
-            dp = ds = mpmath.mpc(0)
-            for ak, ck in a:
-                zp = z * p
-                dzp = p + z * dp
-                p, s = zp + ak * s, s + ck * zp
-                dp, ds = dzp + ak * ds, ds + ck * dzp
-            out.append(float(mpmath.arg(z - (p + s) / (dp + ds))))
-    return np.array(out)
-
-
-def mp_levinson_moments(coeffs):
-    """c_0..c_K by the inverse Levinson recurrence c_{k+1} = -a_{k+1} e_k -
-    sum_{j<k} Phi_k[j] c_{j+1} in mpmath, with 30 digits beyond the growth
-    prod(1 + |a_k|) of the monic coefficients it cancels."""
-    growth = int(np.sum(np.log10(1.0 + np.abs(coeffs))))
-    with mpmath.workdps(30 + growth):
-        c = [mpmath.mpc(1)]
-        phi = [mpmath.mpc(1)]
-        e = mpmath.mpf(1)
-        for k, x in enumerate(coeffs):
-            a = mpmath.mpc(complex(x))
-            c.append(-a * e - mpmath.fsum(phi[j] * c[j + 1] for j in range(k)))
-            star = [mpmath.conj(v) for v in reversed(phi)]
-            phi = [mpmath.mpc(0)] + phi
-            for j, v in enumerate(star):
-                phi[j] += a * v
-            e *= 1 - abs(a) ** 2
-        return np.array([complex(v) for v in c])
+# a cap-0.9 sequence at n = 256, against the high-precision reference
 
 
 def test_cap09_n256_rule_nodes_match_mpmath_roots():
@@ -443,7 +404,7 @@ def test_cap09_n256_rule_nodes_match_mpmath_roots():
     angles = rule.node_angles
     assert len(angles) == 256
     assert np.min(np.diff(angles)) > 0.0
-    polished = mp_newton_angles(schur.coefficients, angles)
+    polished, _ = mp_reference.zeros(schur.coefficients, 1.0, angles)
     assert np.max(circular_distance(angles, polished)) < 1e-12
 
 
@@ -452,7 +413,7 @@ def test_cap09_moments_match_mpmath_levinson():
     # 8.6e-7 off here
     schur = fixed_rule_schur(1, 0.9)
     got = moments_from_schur(schur, 255).c
-    want = mp_levinson_moments(schur.coefficients[:255])
+    want, _ = mp_reference.levinson_moments(schur.coefficients[:255])
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -3,7 +3,6 @@
 import hashlib
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +18,6 @@ from szego_quad import (
     build_opuc,
     christoffel_moments,
     f_sequence,
-    inner_product,
     interlace_check,
     kernel_diag,
     moments_from_schur,
@@ -33,10 +31,10 @@ from szego_quad import (
 )
 from szego_quad.circle import circular_distance, half_power
 from szego_quad.opuc import szego_values
-from szego_quad.poly import LaurentPolynomial
 from szego_quad.quadrature import HERMITIAN_MAX_ORDER, invariant_zeros
 
-from conftest import random_schur
+import mp_reference
+from conftest import poly_inner, random_schur
 
 CUBE = [0.0, 2 * np.pi / 3, 4 * np.pi / 3]
 
@@ -139,28 +137,16 @@ def test_f2_anchor_value_single_coefficient():
     assert abs(inst.value(0.0) - 1.5) < 1e-12
 
 
-def mp_member_value(table, n, alpha, theta):
-    """f_n(theta) = -i (conj(alpha) Phi_n - alpha Phi_n*)(z) e^{-i n theta / 2} and its
-    envelope 2 |alpha Phi_n(z)|, from the monic recurrence in 60 digits."""
-    with mpmath.workdps(60):
-        th = mpmath.mpf(float(theta))
-        z = mpmath.expj(th)
-        p = s = mpmath.mpc(1)
-        for a in table.schur.coefficients[:n]:
-            a = mpmath.mpc(complex(a))
-            p, s = z * p + a * s, s + mpmath.conj(a) * z * p
-        al = mpmath.mpc(complex(alpha))
-        f = -1j * (mpmath.conj(al) * p - al * s) * mpmath.expj(-n * th / 2)
-        return float(mpmath.re(f)), float(2 * abs(al * p))
-
-
 def test_f2_value_on_hann_arc_matches_mpmath():
     # Horner on the monic numerator was off by half the envelope here
     table = build_opuc(schur_from_measure(ArcDensity("hann", (0.0, np.pi)), 40), 40)
     inst = sof_f2(table, None, 40, np.exp(2.0j), 2.0)
+    n, al = inst.n, inst.alpha
     for theta in inst.zeros:
-        want, envelope = mp_member_value(table, 40, inst.alpha, theta)
-        assert abs(inst.value(theta) - want) <= 1e-12 * envelope
+        # f_n = -i (conj(alpha) Phi_n - alpha Phi_n*) e^{-i n theta / 2}, envelope 2 |alpha Phi_n|
+        (p, s, _, _), _ = mp_reference.szego(table.schur.coefficients[:n], np.exp(1j * theta))
+        want = np.real(-1j * (np.conj(al) * p - al * s) * np.exp(-0.5j * n * theta))
+        assert abs(inst.value(theta) - want) <= 1e-12 * 2 * abs(al * p)
 
 
 def test_f2_anchor_value_random(rng):
@@ -334,40 +320,20 @@ def test_f_sequence_groups_members_by_anchor(rng):
 
 
 # ---------------------------------------------------------------------------
-# second-kind members against a 60-digit recurrence
+# second-kind members against the high-precision reference
 
 
-def mp_member_zeros(coeffs, n, angle, A, B):
-    """Zeros of the member alpha = w^{-n/2} (A Phi_n(w) + B Omega_n(w)), w = e^{i angle}.
-
-    Phi_n(w) and Omega_n(w) come from the monic recurrence on a and -a in
-    60-digit mpmath; the zeros of Phi_n + t Phi_n*, t = -alpha / conj(alpha),
-    start from the CMV eigenvalues for t and take two 60-digit Newton steps."""
-    with mpmath.workdps(60):
-        a = [mpmath.mpc(complex(x)) for x in coeffs[:n]]
-
-        def values(z, sign):
-            p = s = mpmath.mpc(1)
-            dp = ds = mpmath.mpc(0)
-            for ak in a:
-                ak = sign * ak
-                zp, dzp = z * p, p + z * dp
-                p, s = zp + ak * s, s + mpmath.conj(ak) * zp
-                dp, ds = dzp + ak * ds, ds + mpmath.conj(ak) * dzp
-            return p, s, dp, ds
-
-        w = mpmath.expj(mpmath.mpf(angle))
-        value = A * values(w, 1)[0] + B * values(w, -1)[0]
-        alpha = mpmath.expj(-n * mpmath.mpf(angle) / 2) * value
-        t = -alpha / mpmath.conj(alpha)
-        out = []
-        for theta in invariant_zeros(SchurSequence(coeffs[:n]), n, complex(t)):
-            z = mpmath.expj(mpmath.mpf(float(theta)))
-            for _ in range(2):
-                p, s, dp, ds = values(z, 1)
-                z = mpmath.expj(mpmath.arg(z - (p + t * s) / (dp + t * ds)))
-            out.append(float(mpmath.arg(z)) % (2 * np.pi))
-    return np.array(out)
+def reference_member_zeros(coeffs, n, angle, A, B):
+    """Zeros of the member alpha = w^{-n/2} (A Phi_n(w) + B Omega_n(w)), w = e^{i angle}:
+    the zeros of Phi_n + t Phi_n*, t = -alpha / conj(alpha), polished by the
+    reference from the CMV eigenvalues for t, with Phi_n(w) and Omega_n(w) from
+    the reference on a and -a."""
+    coeffs = coeffs[:n]
+    w = np.exp(1j * angle)
+    phi, omega = (mp_reference.szego(coeffs, w, sign)[0][0] for sign in (1, -1))
+    alpha = np.exp(-0.5j * n * angle) * (A * phi + B * omega)
+    t = -alpha / np.conj(alpha)
+    return mp_reference.zeros(coeffs, t, invariant_zeros(SchurSequence(coeffs), n, t))[0]
 
 
 @pytest.mark.parametrize("measure", ["half_circle", "geronimus_0.9"])
@@ -386,7 +352,7 @@ def test_second_kind_members_match_mpmath(measure):
             (sof_f2(table, omegas, 40, w), (0, -1j)),
             (sof_combo(table, SofFamilySpec.combo(0.7, -1.2, w), 40, omegas), (0.7, 1.2j)),
         ):
-            want = mp_member_zeros(schur.coefficients, 40, angle, A, B)
+            want = reference_member_zeros(schur.coefficients, 40, angle, A, B)
             assert len(inst.zeros) == 40
             dist = circular_distance(want[:, None], inst.zeros[None, :]).min(axis=1)
             assert np.max(dist) < 1e-12, (inst.label, angle, np.max(dist))
@@ -400,7 +366,7 @@ def test_conjugate_pair_members_match_mpmath():
     schur = SchurSequence(0.9 * np.cos(1.3 * np.arange(n_top)))
     table = build_opuc(schur, n_top)
     for inst in sof_members(table, SofFamilySpec.f1(-1.0), (16, 41, n_top)):
-        want = mp_member_zeros(schur.coefficients, inst.n, np.pi, 1, 0)
+        want = reference_member_zeros(schur.coefficients, inst.n, np.pi, 1, 0)
         assert len(inst.zeros) == inst.n
         assert np.min(np.diff(np.sort(want))) > 1e-6
         dist = circular_distance(want[:, None], inst.zeros[None, :]).min(axis=1)
@@ -433,10 +399,9 @@ def test_numerator_para_orthogonality(rng):
     m = moments_from_schur(schur, 6)
     n = 5
     inst = sof_f1(table, n, np.exp(0.9j))
-    num = LaurentPolynomial(inst.numerator.coeffs, 0)
+    num = inst.numerator.coeffs
     for k in range(n + 1):
-        mono = LaurentPolynomial(np.array([1.0 + 0j]), k)
-        val = abs(inner_product(m, num, mono))
+        val = abs(poly_inner(num, ComplexPolynomial.monomial(k).coeffs, m.get))
         if 0 < k < n:
             assert val < 1e-10
         else:
@@ -506,10 +471,9 @@ def test_f_sequence_odd_numerator_orthogonal_for_modified_measure(rng):
     seq = f_sequence(table, [w] * 5, 5)
     inst = seq[4]
     modified = christoffel_moments(moments_from_schur(schur, 6), w)
-    num = LaurentPolynomial(inst.numerator.coeffs, 0)
+    num = inst.numerator.coeffs
     for k in range(1, inst.n):
-        mono = LaurentPolynomial(np.array([1.0 + 0j]), k)
-        assert abs(inner_product(modified, num, mono)) < 1e-9
+        assert abs(poly_inner(num, ComplexPolynomial.monomial(k).coeffs, modified.get)) < 1e-9
 
 
 def horner_value(inst, theta):
