@@ -32,7 +32,6 @@ from .measures import (
     schur_from_moments,
 )
 from .opuc import (
-    OpucTable,
     SchurSequence,
     build_opuc,
     kernel_diag,

@@ -14,13 +14,14 @@ Values and kernel diagonals K_n(z, z) come from the normalized recurrence,
 zeros and moments from the CMV matrix (cmv_matrix).  szego_sweep yields
 every degree of one recurrence run and szego_values is its last step, so a
 family anchored at w takes all its degrees from one sweep at w, and one
-kernel_diag sweep reads each point at its own degree.  A table holds only
-the Schur parameters and a view of their norms; its monic Phi_n and Phi_n*
-are built on first read, for output and test oracles.
+kernel_diag sweep reads each point at its own degree.  The sequence is the
+table: build_opuc takes a prefix, which forms its own rho and e, and the
+monic Phi_n and Phi_n* are built on first read, for output and test oracles.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,43 +77,33 @@ class SchurSequence:
             raise IndexError(f"coefficient index {n} outside 1..{self.max_order}")
         return complex(self.coefficients[n - 1])
 
-
-@dataclass(frozen=True, eq=False)
-class OpucTable:
-    """Schur parameters up to degree order and the norms e_0..e_order; the monic
-    Phi_n (phi) and Phi_n* (phi_star) are built on first read, by output and oracles."""
-
-    schur: SchurSequence
-    e: np.ndarray
-    order: int
-
     @cached_property
     def phi(self) -> tuple:
-        """Monic Phi_0..Phi_order by the recurrence on exact reversals Phi_n*, which stay
-        below top degree, so every leading coefficient is exactly 1.0."""
+        """Monic Phi_0..Phi_max_order by the recurrence on exact reversals Phi_n*, which
+        stay below top degree, so every leading coefficient is exactly 1.0."""
         one = ComplexPolynomial([1.0])
         phi, star = [one], one
-        for n in range(self.order):
-            phi.append(phi[n].shifted(1) + self.schur.a(n + 1) * star)
+        for n in range(self.max_order):
+            phi.append(phi[n].shifted(1) + self.a(n + 1) * star)
             star = phi[n + 1].conj_reverse(n + 1)
         return tuple(phi)
 
     @cached_property
     def phi_star(self) -> tuple:
-        """Phi_n* = z^n conj(Phi_n)(1/z), n = 0..order."""
+        """Phi_n* = z^n conj(Phi_n)(1/z), n = 0..max_order."""
         return tuple(p.conj_reverse(n) for n, p in enumerate(self.phi))
 
 
-def build_opuc(schur: SchurSequence, n_max: int) -> OpucTable:
-    """Table of the first n_max Schur parameters with their norms schur.e[: n_max + 1]."""
-    n_max = int(n_max)
+def build_opuc(schur: SchurSequence, n_max: int) -> SchurSequence:
+    """The first n_max Schur parameters as their own sequence, with the norms e_0..e_n_max."""
+    n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > schur.max_order:
         raise ValueError(
             f"n_max = {n_max} exceeds the {schur.max_order} available Schur coefficients"
         )
-    return OpucTable(schur=schur, e=schur.e[: n_max + 1], order=n_max)
+    return SchurSequence(schur.coefficients[:n_max])
 
 
 def reverse(p: ComplexPolynomial, declared_degree=None) -> ComplexPolynomial:
@@ -185,7 +176,7 @@ def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
     return L @ M
 
 
-def kernel_diag(table: OpucTable, n, z):
+def kernel_diag(table: SchurSequence, n, z):
     """K_n(z, z) for z on the unit circle, by the normalized recurrence.
 
     Always >= 1 since the degree-zero term contributes 1.  Accepts scalar or
@@ -198,9 +189,9 @@ def kernel_diag(table: OpucTable, n, z):
     ns = np.asarray(n)
     if not np.issubdtype(ns.dtype, np.integer):
         raise ValueError(f"kernel degrees must be integers, got {ns.dtype}")
-    outside = ns[(ns < 0) | (ns > table.order)]
+    outside = ns[(ns < 0) | (ns > table.max_order)]
     if outside.size:
-        raise ValueError(f"kernel degree {outside[0]} outside 0..{table.order}")
+        raise ValueError(f"kernel degree {outside[0]} outside 0..{table.max_order}")
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
     try:
@@ -211,7 +202,7 @@ def kernel_diag(table: OpucTable, n, z):
     wanted = np.zeros(top + 1, dtype=bool)
     wanted[ns] = True
     out = np.empty(zs.shape)
-    for k, (_, _, acc) in enumerate(szego_sweep(table.schur, top, zs)):
+    for k, (_, _, acc) in enumerate(szego_sweep(table, top, zs)):
         if wanted[k]:
             at = ns == k
             out[at] = acc[at]

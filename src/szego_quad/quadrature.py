@@ -21,6 +21,7 @@ attempt count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .circle import TWO_PI, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch
 from .measures import MomentTable
-from .opuc import OpucTable, SchurSequence, cmv_matrix, kernel_diag
+from .opuc import SchurSequence, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
 ANGLE_TOL = 2e-14
@@ -50,7 +51,7 @@ _MAX_GRID = 1024
 class InvariantPop:
     """Para-orthogonal combination alpha Phi_n + beta Phi_n* with its kappa."""
 
-    table: OpucTable = field(repr=False)
+    table: SchurSequence = field(repr=False)
     order: int
     alpha: complex
     beta: complex
@@ -62,12 +63,12 @@ class InvariantPop:
         return self.alpha * self.table.phi[self.order] + self.beta * self.table.phi_star[self.order]
 
 
-def make_pop(table: OpucTable, n: int, alpha, beta) -> InvariantPop:
+def make_pop(table: SchurSequence, n: int, alpha, beta) -> InvariantPop:
     """Form the invariant combination; moduli of alpha and beta must agree, the whole
     invariance check since P* - kappa P = ((|alpha|^2 - |beta|^2) / alpha) Phi_n*."""
-    n = int(n)
-    if not 1 <= n <= table.order:
-        raise ValueError(f"degree {n} outside 1..{table.order}")
+    n = operator.index(n)
+    if not 1 <= n <= table.max_order:
+        raise ValueError(f"degree {n} outside 1..{table.max_order}")
     alpha = complex(alpha)
     beta = complex(beta)
     scale = max(abs(alpha), abs(beta))
@@ -189,7 +190,7 @@ def invariant_zeros(schur: SchurSequence, n: int, t, omega0=0.0) -> np.ndarray:
 
 def pop_zeros(pop: InvariantPop, omega0=0.0) -> np.ndarray:
     """Angles of the n simple circle zeros of an invariant polynomial (t = beta / alpha)."""
-    return invariant_zeros(pop.table.schur, pop.order, pop.beta / pop.alpha, omega0)
+    return invariant_zeros(pop.table, pop.order, pop.beta / pop.alpha, omega0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +230,7 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
     return worst
 
 
-def _kernel_weights(table: OpucTable, degrees, angles):
+def _kernel_weights(table: SchurSequence, degrees, angles):
     """Weights H_k = 1 / K_{n-1}(z_k, z_k) at the node angles, degrees = n - 1
     one for all nodes or one per node, from one kernel_diag sweep."""
     return 1.0 / kernel_diag(table, degrees, np.exp(1j * angles))
@@ -248,20 +249,31 @@ def _kernel_rule(m: MomentTable, angles, weights, order, omega0, source):
     )
 
 
-def make_rule(table: OpucTable, m: MomentTable, pop: InvariantPop, omega0=0.0) -> QuadratureRule:
+def _check_member_table(table: SchurSequence, own: SchurSequence, k):
+    """The table's K_k weighs nodes made on own only when it reaches degree k and shares
+    a_1..a_k with own; identical tables pass on the identity test."""
+    if not 0 <= k <= table.max_order:
+        raise ValueError(f"kernel degree {k} outside 0..{table.max_order}")
+    if table is not own and not np.array_equal(table.coefficients[:k], own.coefficients[:k]):
+        raise ValueError(f"the table's first {k} Schur coefficients differ from the member's")
+
+
+def make_rule(table: SchurSequence, m: MomentTable, pop: InvariantPop, omega0=0.0) -> QuadratureRule:
     """Szego rule on the zeros of an invariant polynomial, kernel weights.
 
     Weights are H_k = 1 / K_{n-1}(z_k, z_k), the kernel sum of the
     normalized recurrence; the measured exactness defect over the Laurent
-    window |k| <= n - 1 is stamped on the rule for inspection.
+    window |k| <= n - 1 is stamped on the rule for inspection.  A table whose
+    first n - 1 Schur coefficients differ from the pop's raises ValueError.
     """
+    _check_member_table(table, pop.table, pop.order - 1)
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
     angles = pop_zeros(pop, omega0)
     weights = _kernel_weights(table, pop.order - 1, angles)
     return _kernel_rule(m, angles, weights, pop.order, omega0, src)
 
 
-def member_rule_parts(table: OpucTable, zeros_list, orders, anchor_angles, omega0):
+def member_rule_parts(table: SchurSequence, zeros_list, orders, anchor_angles, omega0):
     """(nodes, weights) of the order-point rules of several semi-orthogonal
     members from one kernel sweep.  The nodes of a member are its zeros, plus
     its anchor when it has order - 1 of them, folded into [omega0, omega0 +
@@ -280,7 +292,7 @@ def member_rule_parts(table: OpucTable, zeros_list, orders, anchor_angles, omega
     return list(zip(nodes, np.split(weights, np.cumsum(orders)[:-1])))
 
 
-def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> QuadratureRule:
+def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> QuadratureRule:
     """Quadrature rule generated by a semi-orthogonal function's zero set.
 
     For the odd members of the alternating sequence the anchor is the one
@@ -293,13 +305,7 @@ def rule_from_sof(table: OpucTable, m: MomentTable, inst, omega0=None) -> Quadra
     """
     omega0 = float(inst.omega0 if omega0 is None else omega0)
     order = int(inst.index)
-    k = order - 1
-    if not 0 <= k <= table.order:
-        raise ValueError(f"kernel degree {k} outside 0..{table.order}")
-    if table.schur is not inst.table.schur and not np.array_equal(
-        table.schur.coefficients[:k], inst.table.schur.coefficients[:k]
-    ):
-        raise ValueError(f"the table's first {k} Schur coefficients differ from the member's")
+    _check_member_table(table, inst.table, order - 1)
     src = f"sof({inst.label})" if inst.label else "sof"
     if inst.rule_weights is not None and omega0 == inst.omega0:
         angles, weights = inst.rule_angles, inst.rule_weights

@@ -36,13 +36,14 @@ sof_combo and zero_cloud are accepted and not read.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
 from .errors import OffCircle, PhaseLeak, ZeroCoefficient
-from .opuc import CIRCLE_TOL, OpucTable, SchurSequence, szego_sweep, szego_values
+from .opuc import CIRCLE_TOL, SchurSequence, szego_sweep, szego_values
 from .poly import ComplexPolynomial
 from .quadrature import invariant_zeros, member_rule_parts
 
@@ -128,7 +129,7 @@ class SofInstance:
     n: int
     index: int
     alpha: complex | None
-    table: OpucTable = field(repr=False)
+    table: SchurSequence = field(repr=False)
     w: complex
     anchor_angle: float
     omega0: float
@@ -158,7 +159,7 @@ class SofInstance:
         both by 2 sin((theta - theta_w) / 2), and within 1e-9 of the anchor its
         value is the limit, the slope over cos((theta - theta_w) / 2) = +-1."""
         m = self.index
-        p, _, acc = szego_values(self.table.schur, m, np.exp(1j * theta))
+        p, _, acc = szego_values(self.table, m, np.exp(1j * theta))
         mod2 = np.abs(p) ** 2
         root_e = np.sqrt(self.table.e[m])
         u = np.conj(self.alpha) * p * half_power(theta, -m)
@@ -178,12 +179,12 @@ class SofInstance:
         return float(vals) if theta.ndim == 0 else vals
 
 
-def sof_f1(table: OpucTable, n: int, w, omega0=0.0) -> SofInstance:
+def sof_f1(table: SchurSequence, n: int, w, omega0=0.0) -> SofInstance:
     """First-kind member of degree n; the anchor w is always among its zeros."""
     return sof_combo(table, SofFamilySpec.f1(w, omega0), n)
 
 
-def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
+def sof_f2(table: SchurSequence, omegas, n: int, w, omega0=0.0) -> SofInstance:
     """Second-kind member of degree n; takes the value 2 e_n at the anchor.
 
     omegas is accepted and not read: Omega_n(w) comes from the recurrence.
@@ -191,13 +192,13 @@ def sof_f2(table: OpucTable, omegas, n: int, w, omega0=0.0) -> SofInstance:
     return sof_combo(table, SofFamilySpec.f2(w, omega0), n)
 
 
-def sof_combo(table: OpucTable, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
+def sof_combo(table: SchurSequence, spec: SofFamilySpec, n: int, omegas=None) -> SofInstance:
     """Member of the declared family at degree n: sof_members at the one degree n.
     omegas is not read."""
     return sof_members(table, spec, (n,))[0]
 
 
-def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInstance]:
+def sof_members(table: SchurSequence, spec: SofFamilySpec, degrees) -> list[SofInstance]:
     """Members of the declared family at each of the given degrees, in that order;
     the one path for every family.
 
@@ -210,10 +211,10 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
     ZeroCoefficient is raised at the first degree whose alpha_n vanishes
     relative to its terms.
     """
-    degrees = [int(n) for n in degrees]
+    degrees = [operator.index(n) for n in degrees]
     for n in degrees:
-        if not 1 <= n <= table.order:
-            raise ValueError(f"degree {n} outside 1..{table.order}")
+        if not 1 <= n <= table.max_order:
+            raise ValueError(f"degree {n} outside 1..{table.max_order}")
     w, angle = _canonical_anchor(spec.w, spec.omega0)
     A, B = (c(w) if isinstance(c, ComplexPolynomial) else c for c in (spec.A, spec.B))
     top = max(degrees, default=0)
@@ -222,9 +223,9 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
     def anchor_values(schur):
         return {n: p for n, (p, _, _) in enumerate(szego_sweep(schur, top, w)) if n in wanted}
 
-    phi = anchor_values(table.schur) if A != 0 else None
+    phi = anchor_values(table) if A != 0 else None
     # Omega_n is Phi_n of the sign-flipped sequence, with the same e_n
-    omega = anchor_values(SchurSequence(-table.schur.coefficients[:top])) if B != 0 else None
+    omega = anchor_values(SchurSequence(-table.coefficients[:top])) if B != 0 else None
     members = []
     for n in degrees:
         root_e = np.sqrt(table.e[n])
@@ -239,7 +240,7 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
                 f"family coefficient vanishes at degree {n}", n=n, magnitude=abs(value)
             )
         alpha = half_power(angle, -(n + spec.k)) * value
-        zeros = invariant_zeros(table.schur, n, -alpha / np.conj(alpha), spec.omega0)
+        zeros = invariant_zeros(table, n, -alpha / np.conj(alpha), spec.omega0)
         if B == 0:
             zeros[np.argmin(circular_distance(zeros, angle))] = angle
             zeros.sort()
@@ -259,7 +260,7 @@ def sof_members(table: OpucTable, spec: SofFamilySpec, degrees) -> list[SofInsta
     return members
 
 
-def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInstance]:
+def f_sequence(table: SchurSequence, w_seq, count: int, omega0=0.0) -> list[SofInstance]:
     """Alternating anchor sequence F_1..F_count, each member with its rule.
 
     Even indices are first-kind members of the base measure; odd index
@@ -275,7 +276,7 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
     member_rule_parts weighs the nodes of every member at once, each at its
     member's degree j - 1, in one kernel_diag sweep.
     """
-    count = int(count)
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     ws = list(w_seq) if np.ndim(w_seq) > 0 or isinstance(w_seq, (list, tuple)) else [w_seq] * count
@@ -283,8 +284,8 @@ def f_sequence(table: OpucTable, w_seq, count: int, omega0=0.0) -> list[SofInsta
         ws = ws * count
     if len(ws) < count:
         raise ValueError(f"need {count} anchors, got {len(ws)}")
-    if table.order < count:
-        raise ValueError(f"table order {table.order} below sequence length {count}")
+    if table.max_order < count:
+        raise ValueError(f"table order {table.max_order} below sequence length {count}")
     w, angle = _canonical_anchor(ws[0], omega0)
     members = [
         SofInstance(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .measures import MeasureSpec, schur_from_measure
-from .opuc import OpucTable, build_opuc
+from .opuc import SchurSequence, build_opuc
 from .sof import SofFamilySpec, sof_members
 
 _EDGE_TOL = 1e-12
@@ -118,7 +118,7 @@ class ZeroCloud:
     anchor_angle: float
 
 
-def zero_cloud(table: OpucTable, family: SofFamilySpec, orders, omegas=None) -> ZeroCloud:
+def zero_cloud(table: SchurSequence, family: SofFamilySpec, orders, omegas=None) -> ZeroCloud:
     """Collect the zero sets of the family for every requested degree.
 
     The members come from one sof_members call, so one recurrence sweep at
@@ -128,8 +128,6 @@ def zero_cloud(table: OpucTable, family: SofFamilySpec, orders, omegas=None) -> 
     orders = tuple(int(n) for n in orders)
     if not orders:
         raise ValueError("need at least one degree")
-    if max(orders) > table.order:
-        raise ValueError(f"degree {max(orders)} exceeds table order {table.order}")
     return ZeroCloud(
         orders=orders,
         zero_sets=tuple(inst.zeros for inst in sof_members(table, family, orders)),

@@ -87,7 +87,7 @@ def per_member_rule(table, m, inst, omega0):
     if n == len(angles) + 1:
         angles = np.append(angles, fold_angle(inst.anchor_angle, omega0))
     angles = np.sort(angles)
-    weights = 1.0 / szego_values(table.schur, n - 1, np.exp(1j * angles))[2]
+    weights = 1.0 / szego_values(table, n - 1, np.exp(1j * angles))[2]
     return angles, weights, _exactness_residual(m, angles, weights, n)
 
 

@@ -16,7 +16,6 @@ import pytest
 from szego_quad import (
     ArcDensity,
     ComplexPolynomial,
-    OpucTable,
     SchurSequence,
     SofFamilySpec,
     build_opuc,
@@ -54,8 +53,8 @@ def no_monic_table(monkeypatch):
     def refuse(self):
         raise AssertionError("monic table built in the numeric core")
 
-    monkeypatch.setattr(OpucTable, "phi", property(refuse))
-    monkeypatch.setattr(OpucTable, "phi_star", property(refuse))
+    monkeypatch.setattr(SchurSequence, "phi", property(refuse))
+    monkeypatch.setattr(SchurSequence, "phi_star", property(refuse))
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from szego_quad import (
     OffCircle,
     SchurOutOfDisk,
     SchurSequence,
+    SofFamilySpec,
     build_opuc,
     christoffel_moments,
     f_sequence,
@@ -16,8 +17,11 @@ from szego_quad import (
     make_pop,
     moments_from_schur,
     reverse,
+    rule_from_sof,
     second_kind,
     sof_f1,
+    sof_members,
+    zero_cloud,
 )
 from szego_quad.opuc import cmv_matrix, szego_sweep, szego_values
 
@@ -169,7 +173,7 @@ def test_kernel_diag_off_circle():
         (lambda t, v: sof_f1(t, 3, v), OffCircle),
         (lambda t, v: make_pop(t, 3, v, 1.0), ModulusMismatch),
         (lambda t, v: make_pop(t, 3, 1.0, v), ModulusMismatch),
-        (lambda t, v: christoffel_moments(moments_from_schur(t.schur, 4), v), OffCircle),
+        (lambda t, v: christoffel_moments(moments_from_schur(t, 4), v), OffCircle),
         (lambda t, v: f_sequence(t, v, 3), OffCircle),
     ],
 )
@@ -197,6 +201,42 @@ def test_kernel_degree_range():
             kernel_diag(t, degree, np.ones(1))
 
 
+def test_prefix_table_refuses_degrees_beyond_it(rng):
+    # the range checks read the prefix, not the 20 coefficients behind it
+    schur = random_schur(rng, 20)
+    full, t = build_opuc(schur, 20), build_opuc(schur, 10)
+    w = np.exp(0.4j)
+    member = f_sequence(full, w, 12)[11]
+    calls = [
+        lambda: make_pop(t, 11, 1.0, 1.0),
+        lambda: sof_members(t, SofFamilySpec.f1(w), [11]),
+        lambda: f_sequence(t, w, 11),
+        lambda: zero_cloud(t, SofFamilySpec.f1(w), [11]),
+        lambda: kernel_diag(t, 11, w),
+        lambda: rule_from_sof(t, moments_from_schur(schur, 12), member),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"11 outside [01]\.\.10|order 10 below .* 11"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, n: make_pop(t, n, 1.0, 1.0),
+        lambda t, n: build_opuc(t, n),
+        lambda t, n: sof_members(t, SofFamilySpec.f1(1.0), [n]),
+        lambda t, n: f_sequence(t, 1.0, n),
+    ],
+)
+def test_non_integer_degrees_are_rejected(call):
+    # int() truncated 2.5 to degree 2; numpy integers still pass
+    t = build_opuc(random_schur(np.random.default_rng(4), 4), 4)
+    call(t, np.int64(2))
+    with pytest.raises(TypeError):
+        call(t, 2.5)
+
+
 def test_kernel_diag_per_point_degrees_match_single_degree_sweeps(rng):
     # one sweep for points of mixed degrees; each value is bit-identical to
     # the last step of a recurrence sweep to its own degree
@@ -205,7 +245,7 @@ def test_kernel_diag_per_point_degrees_match_single_degree_sweeps(rng):
     n = rng.integers(0, 21, z.shape)
     got = kernel_diag(t, n, z)
     assert got.shape == z.shape
-    want = np.array([szego_values(t.schur, int(k), [p])[2][0] for k, p in zip(n.flat, z.flat)])
+    want = np.array([szego_values(t, int(k), [p])[2][0] for k, p in zip(n.flat, z.flat)])
     assert got.ravel().tobytes() == want.tobytes()
 
 
@@ -223,7 +263,7 @@ def test_szego_values_match_lazy_monic_table(rng):
     z[:3] /= np.abs(z[:3])
     for n in range(13):
         t = build_opuc(random_schur(rng, 12), 12)
-        p, s, acc = szego_values(t.schur, n, z)
+        p, s, acc = szego_values(t, n, z)
         root_e = np.sqrt(t.e[n])
         assert np.allclose(p, t.phi[n](z) / root_e, rtol=1e-12, atol=0)
         assert np.allclose(s, t.phi_star[n](z) / root_e, rtol=1e-12, atol=0)
@@ -264,9 +304,12 @@ def test_szego_values_bit_identical_to_the_plain_loop(rng):
 def test_schur_sequence_forms_rho_and_e_once(rng):
     schur = random_schur(rng, 64, cap=0.9)
     a = schur.coefficients
+    # a prefix forms its own rho and e: rho is elementwise and cumprod sequential
     for n in (0, 1, 30, 64):
-        e = build_opuc(schur, n).e
-        assert e.tobytes() == schur.e[: n + 1].tobytes() and np.shares_memory(e, schur.e)
+        t = build_opuc(schur, n)
+        assert t.coefficients.tobytes() == a[:n].tobytes()
+        assert t.rho.tobytes() == schur.rho[:n].tobytes()
+        assert t.e.tobytes() == schur.e[: n + 1].tobytes()
     # the second kind runs on -a with the same rho and e_n
     flipped = SchurSequence(-a)
     assert flipped.rho.tobytes() == schur.rho.tobytes()
@@ -279,7 +322,7 @@ def test_cmv_matrix_unitary_with_characteristic_polynomial(rng):
     for n in range(1, 13):
         t = build_opuc(random_schur(rng, 12), 12)
         lam = np.exp(2j * np.pi * rng.random())
-        c = cmv_matrix(t.schur, n, lam)
+        c = cmv_matrix(t, n, lam)
         assert np.max(np.abs(c.conj().T @ c - np.eye(n))) < 1e-13
         target = t.phi[n - 1].shifted(1) + lam * t.phi_star[n - 1]
         assert np.max(np.abs(np.poly(c)[::-1] - target.padded(n + 1))) < 1e-12

@@ -393,6 +393,20 @@ def test_rule_from_sof_refuses_another_measures_table():
     assert exc.value.detail == {"index": 4, "K": 3}
 
 
+def test_make_rule_refuses_another_measures_table():
+    # nodes from a and weights from b gave a rule with exactness residual 0.497
+    rng = np.random.default_rng(5)
+    a, b = build_opuc(random_schur(rng, 4), 4), build_opuc(random_schur(rng, 4), 4)
+    m = moments_from_schur(a, 4)
+    with pytest.raises(ValueError, match="Schur coefficients differ"):
+        make_rule(b, m, make_pop(a, 4, 1, 1))
+    # a table that shares a_1..a_3 weighs the order-4 nodes as the pop's own does
+    same = build_opuc(SchurSequence(np.append(a.coefficients[:3], 0.5)), 4)
+    own = make_rule(a, m, make_pop(a, 4, 1, 1))
+    ref = (own.node_angles, own.weights, own.exactness_residual)
+    assert_rule_bytes(make_rule(same, m, make_pop(a, 4, 1, 1)), ref)
+
+
 # ---------------------------------------------------------------------------
 # a cap-0.9 sequence at n = 256, against the high-precision reference
 

@@ -144,7 +144,7 @@ def test_f2_value_on_hann_arc_matches_mpmath():
     n, al = inst.n, inst.alpha
     for theta in inst.zeros:
         # f_n = -i (conj(alpha) Phi_n - alpha Phi_n*) e^{-i n theta / 2}, envelope 2 |alpha Phi_n|
-        (p, s, _, _), _ = mp_reference.szego(table.schur.coefficients[:n], np.exp(1j * theta))
+        (p, s, _, _), _ = mp_reference.szego(table.coefficients[:n], np.exp(1j * theta))
         want = np.real(-1j * (np.conj(al) * p - al * s) * np.exp(-0.5j * n * theta))
         assert abs(inst.value(theta) - want) <= 1e-12 * 2 * abs(al * p)
 
@@ -226,9 +226,9 @@ def one_degree_alpha(table, spec, n, A, B):
     root_e = np.sqrt(table.e[n])
     terms = []
     if A != 0:
-        terms.append(A * complex(root_e * szego_values(table.schur, n, w)[0]))
+        terms.append(A * complex(root_e * szego_values(table, n, w)[0]))
     if B != 0:
-        flipped = SchurSequence(-table.schur.coefficients[:n])
+        flipped = SchurSequence(-table.coefficients[:n])
         terms.append(B * complex(root_e * szego_values(flipped, n, w)[0]))
     return complex(half_power(spec.anchor_angle, -(n + spec.k)) * sum(terms))
 
