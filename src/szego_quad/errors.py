@@ -1,6 +1,22 @@
-"""Exception hierarchy; every failure mode carries a stable machine-readable code."""
+"""Exception hierarchy; every failure mode carries a stable machine-readable code.
+
+checked_int is the one conversion of every integer argument (a degree, order
+or count) of the public API.
+"""
 
 from __future__ import annotations
+
+import operator
+
+
+def checked_int(value, name, lo=None, hi=None):
+    """value as an int by operator.index, so a float raises TypeError and a numpy
+    integer passes, then checked against the inclusive range lo..hi (None: open)."""
+    value = operator.index(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        lo, hi = ("" if end is None else end for end in (lo, hi))
+        raise ValueError(f"{name} = {value} outside {lo}..{hi}")
+    return value
 
 
 class SzegoQuadError(Exception):

@@ -26,6 +26,7 @@ from .errors import (
     MomentRangeExceeded,
     NotPositiveDefinite,
     OffCircle,
+    checked_int,
 )
 from .opuc import (
     CIRCLE_TOL,
@@ -284,11 +285,11 @@ class MomentTable:
         return len(self.c) - 1
 
     def get(self, k):
-        return complex(self.take(int(k)))
+        return complex(self.take(checked_int(k, "k")))
 
     def window(self, lo, hi):
         """Array of c_k for k = lo..hi inclusive."""
-        return self.take(np.arange(int(lo), int(hi) + 1))
+        return self.take(np.arange(checked_int(lo, "lo"), checked_int(hi, "hi") + 1))
 
     def take(self, ks):
         """c_k for each k of the integer array ks; the first (C order) outside |k| <= K raises."""
@@ -357,17 +358,18 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
     if isinstance(spec, Density):
         fn = _lookup("density", spec.name, DENSITIES, "measure")
         rho = lambda t: fn(t, spec.param)
+        grid = checked_int(spec.grid or 0, "grid", 0)
         if periodic:
-            M = scale * max(int(spec.grid or 0), 8 * K, 512)
+            M = scale * max(grid, 8 * K, 512)
             theta = TWO_PI * np.arange(M) / M
             w = np.asarray(rho(theta), dtype=float)
             return theta, w / w.sum()
-        lo, hi, P = 0.0, TWO_PI, max(K, 32, -(-int(spec.grid or 0) // _GL_POINTS))
+        lo, hi, P = 0.0, TWO_PI, max(K, 32, -(-grid // _GL_POINTS))
     elif isinstance(spec, ArcDensity):
         fn = _lookup("arc density", spec.name, ARC_DENSITIES, "measure")
         lo, hi = spec.arc
         rho = lambda t: fn(t, lo, hi, spec.param)
-        P = max(int(spec.panels or 0), K, 32)
+        P = max(checked_int(spec.panels or 0, "panels", 0), K, 32)
     else:
         raise TypeError(f"not a measure spec: {spec!r}")
     theta, w = _gl_panels(lo, hi, scale * P)
@@ -400,9 +402,7 @@ def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic=True, firs
 
 def moments(spec: MeasureSpec, K: int) -> MomentTable:
     """Trigonometric moments c_k, k = 0..K, of the unit-mass measure."""
-    K = int(K)
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    K = checked_int(K, "K", 0)
     if isinstance(spec, Lebesgue):
         # closed form: the trapezoid sums of roots of unity are not exactly 0
         c = np.zeros(K + 1, dtype=complex)
@@ -475,9 +475,7 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     or e_n = e_{n-1} (1 - |a_n|^2) to RECURRENCE_TOL; the last catches a
     form no longer positive definite in double precision.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max = {n_max} outside 0..{m.K}")
+    n_max = checked_int(n_max, "n_max", 0)
     if n_max > m.K:
         raise MomentRangeExceeded(
             f"extraction to degree {n_max} needs moments up to c_{n_max}", K=m.K
@@ -524,9 +522,7 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
     Past that, IntegrationResolution names the drift and the first drifting
     degree, or NotPositiveDefinite the first with e_n <= 0 or |a_n| > SCHUR_GUARD.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = checked_int(n_max, "n_max", 0)
     extract = lambda t, w: _value_extract(t, w, n_max)
     return SchurSequence(_resolved(spec, 2 * n_max + 2, extract, "Schur", first=1))
 
@@ -539,9 +535,7 @@ def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:
     |k| <= K.  Needs K <= max_order, since c_K is only determined once a_K
     is known.
     """
-    K = int(K)
-    if not 0 <= K <= schur.max_order:
-        raise ValueError(f"K = {K} outside 0..{schur.max_order}, the available Schur coefficients")
+    K = checked_int(K, "K", 0, schur.max_order)
     C = cmv_matrix(schur, K + 1, -1.0)
     v = np.zeros(K + 1, dtype=complex)
     v[0] = 1.0

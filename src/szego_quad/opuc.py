@@ -21,13 +21,12 @@ monic Phi_n and Phi_n* are built on first read, for output and test oracles.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import OffCircle, SchurOutOfDisk
+from .errors import OffCircle, SchurOutOfDisk, checked_int
 from .poly import ComplexPolynomial
 
 SCHUR_GUARD = 1.0 - 1e-12
@@ -96,13 +95,7 @@ class SchurSequence:
 
 def build_opuc(schur: SchurSequence, n_max: int) -> SchurSequence:
     """The first n_max Schur parameters as their own sequence, with the norms e_0..e_n_max."""
-    n_max = operator.index(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > schur.max_order:
-        raise ValueError(
-            f"n_max = {n_max} exceeds the {schur.max_order} available Schur coefficients"
-        )
+    n_max = checked_int(n_max, "n_max", 0, schur.max_order)
     return SchurSequence(schur.coefficients[:n_max])
 
 
@@ -188,17 +181,17 @@ def kernel_diag(table: SchurSequence, n, z):
     """
     ns = np.asarray(n)
     if not np.issubdtype(ns.dtype, np.integer):
-        raise ValueError(f"kernel degrees must be integers, got {ns.dtype}")
+        raise TypeError(f"kernel degrees must be integers, got {ns.dtype}")
     outside = ns[(ns < 0) | (ns > table.max_order)]
     if outside.size:
-        raise ValueError(f"kernel degree {outside[0]} outside 0..{table.max_order}")
+        checked_int(outside[0], "n", 0, table.max_order)
     zs = np.asarray(z, dtype=complex)
     _check_on_circle(zs)
     try:
         ns = np.broadcast_to(ns, zs.shape)
     except ValueError:
         raise ValueError(f"{ns.shape} degrees for points of shape {zs.shape}") from None
-    top = int(ns.max(initial=0))
+    top = ns.max(initial=0)
     wanted = np.zeros(top + 1, dtype=bool)
     wanted[ns] = True
     out = np.empty(zs.shape)

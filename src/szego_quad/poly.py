@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .errors import checked_int
+
 
 class ComplexPolynomial:
     """Polynomial with dense complex coefficients in ascending powers.
@@ -66,9 +68,8 @@ class ComplexPolynomial:
         For p of degree at most d this is z^d * conj(p)(1/z); applying it twice
         with the same d gives back the original coefficients exactly.
         """
-        d = self.degree if declared_degree is None else int(declared_degree)
-        if d < self.degree:
-            raise ValueError("declared degree below actual degree")
+        d = self.degree if declared_degree is None else declared_degree
+        d = checked_int(d, "declared_degree", self.degree)
         return ComplexPolynomial(np.conj(self.padded(d + 1))[::-1])
 
     def derivative(self):
@@ -76,8 +77,7 @@ class ComplexPolynomial:
 
     def shifted(self, k):
         """Multiply by z^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
+        k = checked_int(k, "k", 0)
         return ComplexPolynomial(np.concatenate((np.zeros(k, dtype=complex), self.coeffs)))
 
     def deflate(self, root):

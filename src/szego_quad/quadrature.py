@@ -21,13 +21,12 @@ attempt count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circle import TWO_PI, fold_angle
-from .errors import ModulusMismatch, ZeroCountMismatch
+from .errors import ModulusMismatch, ZeroCountMismatch, checked_int
 from .measures import MomentTable
 from .opuc import SchurSequence, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
@@ -66,9 +65,7 @@ class InvariantPop:
 def make_pop(table: SchurSequence, n: int, alpha, beta) -> InvariantPop:
     """Form the invariant combination; moduli of alpha and beta must agree, the whole
     invariance check since P* - kappa P = ((|alpha|^2 - |beta|^2) / alpha) Phi_n*."""
-    n = operator.index(n)
-    if not 1 <= n <= table.max_order:
-        raise ValueError(f"degree {n} outside 1..{table.max_order}")
+    n = checked_int(n, "n", 1, table.max_order)
     alpha = complex(alpha)
     beta = complex(beta)
     scale = max(abs(alpha), abs(beta))
@@ -118,7 +115,7 @@ def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
     angle_tol; a root within 1e-9 of the upper window edge is folded onto
     omega0 (the two describe the same circle point).
     """
-    count = int(count)
+    count = checked_int(count, "count", 0)
     if count == 0:
         return np.empty(0, dtype=float)
     m = _FIRST_GRID * count
@@ -135,7 +132,7 @@ def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
         th_all = np.append(theta, theta[0] + TWO_PI)
         h_all = np.append(h, np.asarray(value_fn(np.array([theta[0] + TWO_PI])), dtype=float))
         flips = (h_all[:-1] * h_all[1:]) < 0.0
-        found = int(flips.sum())
+        found = np.count_nonzero(flips)
         if found == count:
             lo = th_all[:-1][flips]
             hi = th_all[1:][flips]
@@ -252,8 +249,7 @@ def _kernel_rule(m: MomentTable, angles, weights, order, omega0, source):
 def _check_member_table(table: SchurSequence, own: SchurSequence, k):
     """The table's K_k weighs nodes made on own only when it reaches degree k and shares
     a_1..a_k with own; identical tables pass on the identity test."""
-    if not 0 <= k <= table.max_order:
-        raise ValueError(f"kernel degree {k} outside 0..{table.max_order}")
+    k = checked_int(k, "kernel degree", 0, table.max_order)
     if table is not own and not np.array_equal(table.coefficients[:k], own.coefficients[:k]):
         raise ValueError(f"the table's first {k} Schur coefficients differ from the member's")
 
@@ -304,7 +300,7 @@ def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> Qu
     are when omega0 is its own window; only the exactness defect is stamped.
     """
     omega0 = float(inst.omega0 if omega0 is None else omega0)
-    order = int(inst.index)
+    order = inst.index
     _check_member_table(table, inst.table, order - 1)
     src = f"sof({inst.label})" if inst.label else "sof"
     if inst.rule_weights is not None and omega0 == inst.omega0:
@@ -325,9 +321,7 @@ def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.nda
     useful cross-check against the kernel route.
     """
     n = rule.order
-    p = int(p)
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"shift p = {p} outside 0..{n - 1}")
+    p = checked_int(p, "shift p", 0, n - 1)
     z = rule.nodes
     node_poly = ComplexPolynomial.from_roots(z)
     deriv = node_poly.derivative()

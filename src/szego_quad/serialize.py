@@ -90,7 +90,7 @@ def rule(r):
 
 def zero_rows(entries):
     """entries: iterable of (n, zeros array)."""
-    rows = [(int(n), k + 1, theta) for n, zeros in entries for k, theta in enumerate(zeros)]
+    rows = [(n, k + 1, theta) for n, zeros in entries for k, theta in enumerate(zeros)]
     return _row_layout(("n", "k", "theta"), rows, "zeros")
 
 

@@ -36,13 +36,12 @@ sof_combo and zero_cloud are accepted and not read.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circle import circular_distance, fold_angle, half_power
-from .errors import OffCircle, PhaseLeak, ZeroCoefficient
+from .errors import OffCircle, PhaseLeak, ZeroCoefficient, checked_int
 from .opuc import CIRCLE_TOL, SchurSequence, szego_sweep, szego_values
 from .poly import ComplexPolynomial
 from .quadrature import invariant_zeros, member_rule_parts
@@ -93,9 +92,7 @@ class SofFamilySpec:
 
     @classmethod
     def polyseq(cls, A: ComplexPolynomial, B: ComplexPolynomial, k: int, w, omega0=0.0):
-        k = int(k)
-        if max(A.degree, B.degree) > k:
-            raise ValueError("coefficient degrees must not exceed the symmetry degree k")
+        k = checked_int(k, "symmetry degree k", max(A.degree, B.degree))
         scale = max(1.0, float(np.max(np.abs(A.coeffs))), float(np.max(np.abs(B.coeffs))))
         res_a = A.conj_reverse(k) - A
         res_b = B.conj_reverse(k) + B
@@ -211,10 +208,7 @@ def sof_members(table: SchurSequence, spec: SofFamilySpec, degrees) -> list[SofI
     ZeroCoefficient is raised at the first degree whose alpha_n vanishes
     relative to its terms.
     """
-    degrees = [operator.index(n) for n in degrees]
-    for n in degrees:
-        if not 1 <= n <= table.max_order:
-            raise ValueError(f"degree {n} outside 1..{table.max_order}")
+    degrees = [checked_int(n, "degree", 1, table.max_order) for n in degrees]
     w, angle = _canonical_anchor(spec.w, spec.omega0)
     A, B = (c(w) if isinstance(c, ComplexPolynomial) else c for c in (spec.A, spec.B))
     top = max(degrees, default=0)
@@ -276,16 +270,12 @@ def f_sequence(table: SchurSequence, w_seq, count: int, omega0=0.0) -> list[SofI
     member_rule_parts weighs the nodes of every member at once, each at its
     member's degree j - 1, in one kernel_diag sweep.
     """
-    count = operator.index(count)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = checked_int(count, "count", 1, table.max_order)
     ws = list(w_seq) if np.ndim(w_seq) > 0 or isinstance(w_seq, (list, tuple)) else [w_seq] * count
     if len(ws) == 1:
         ws = ws * count
     if len(ws) < count:
         raise ValueError(f"need {count} anchors, got {len(ws)}")
-    if table.max_order < count:
-        raise ValueError(f"table order {table.max_order} below sequence length {count}")
     w, angle = _canonical_anchor(ws[0], omega0)
     members = [
         SofInstance(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
+from .errors import checked_int
 from .measures import MeasureSpec, schur_from_measure
 from .opuc import SchurSequence, build_opuc
 from .sof import SofFamilySpec, sof_members
@@ -125,12 +126,12 @@ def zero_cloud(table: SchurSequence, family: SofFamilySpec, orders, omegas=None)
     the anchor serves every degree.  omegas is accepted and not read:
     sof_members takes Omega_n(w) from the recurrence.
     """
-    orders = tuple(int(n) for n in orders)
-    if not orders:
+    members = sof_members(table, family, orders)
+    if not members:
         raise ValueError("need at least one degree")
     return ZeroCloud(
-        orders=orders,
-        zero_sets=tuple(inst.zeros for inst in sof_members(table, family, orders)),
+        orders=tuple(inst.n for inst in members),
+        zero_sets=tuple(inst.zeros for inst in members),
         omega0=family.omega0,
         anchor_angle=family.anchor_angle,
     )
@@ -153,16 +154,15 @@ def accumulation_set(cloud: ZeroCloud, epsilon, n_min=None):
     epsilon = _radius(epsilon)
     if n_min is None:
         n_min = max(min(cloud.orders), max(cloud.orders) // 2)
+    n_min = checked_int(n_min, "n_min", None, max(cloud.orders))
     used = [zs for n, zs in zip(cloud.orders, cloud.zero_sets) if n >= n_min]
-    if not used:
-        raise ValueError(f"no computed degrees at or above n_min = {n_min}")
     return _rejoin_wrap(_drop_slivers(_covered([_eps_union(zs, epsilon) for zs in used], [])))
 
 
 def gap_zero_census(cloud: ZeroCloud, gap) -> np.ndarray:
     """Number of zeros inside the open arc `gap`, per computed degree."""
     lo, hi = float(gap[0]), float(gap[1])
-    counts = [int(np.count_nonzero(in_open_arc(zs, lo, hi))) for zs in cloud.zero_sets]
+    counts = [np.count_nonzero(in_open_arc(zs, lo, hi)) for zs in cloud.zero_sets]
     return np.array(counts, dtype=int)
 
 
@@ -193,22 +193,15 @@ def support_estimate(
     per-anchor estimates with each anchor's ball removed.  Only the degrees
     n_min..n_max are read (n_min defaults to n_max // 2), so only they are
     built, each anchor's family from one recurrence sweep.  A bad epsilon,
-    n_max or n_min raises ValueError before any numerics.
+    n_max or n_min raises ValueError (a non-integer degree TypeError) before
+    any numerics.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = checked_int(n_max, "n_max", 1)
     epsilon = _radius(epsilon)
     anchors = [complex(w) for w in np.atleast_1d(anchors)]
     if not anchors:
         raise ValueError("need at least one anchor")
-    if n_min is None:
-        n_min = max(1, n_max // 2)
-    n_min = int(n_min)
-    if n_min < 1:
-        raise ValueError("n_min must be at least 1")
-    if n_min > n_max:
-        raise ValueError(f"no computed degrees at or above n_min = {n_min}")
+    n_min = checked_int(max(1, n_max // 2) if n_min is None else n_min, "n_min", 1, n_max)
     table = build_opuc(schur_from_measure(spec, n_max), n_max)
     orders = range(n_min, n_max + 1)
     families = [sof_members(table, SofFamilySpec.f1(w), orders) for w in anchors]

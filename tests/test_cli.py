@@ -430,6 +430,31 @@ def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
     assert firsts[0] == firsts[1]
 
 
+@pytest.mark.parametrize(
+    "config, task, diagnostic",
+    [
+        ([1, 2], "validate", "config: expected a JSON object"),
+        ({"task": "nope"}, "validate", "task: unknown task 'nope'"),
+        ({"task": "validate"}, "validate", "task: unknown task 'validate'"),
+        ({"task": "rule", "parameters": {"n": 3}}, "moments",
+         "task: config declares 'rule' but the subcommand is 'moments'"),
+        ({"task": "moments", "parameters": [3]}, "moments", "parameters: expected a JSON object"),
+        ({"task": "support", "parameters": {"n_max": 8, "epsilon": 0}}, "support",
+         "parameters.epsilon: must be positive"),
+        ({"task": "moments", "parameters": {"n": 3, "out": 5}}, "moments",
+         "parameters.out: expected a string"),
+    ],
+)
+def test_config_shape_and_task_diagnostics_exit_2(capsys, tmp_path, config, task, diagnostic):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run(capsys, [task, "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert doc["diagnostics"][0] == diagnostic
+
+
 @pytest.mark.parametrize("task", ["fsequence", "support"])
 def test_both_anchor_parameters_exit_2_with_one_diagnostic(capsys, tmp_path, task):
     params = {"n_max": 16, "epsilon": 0.3, "anchor_angle": 2.5, "anchor_angles": [5.0]}

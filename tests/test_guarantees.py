@@ -18,6 +18,7 @@ from szego_quad import (
     SofFamilySpec,
     build_opuc,
     interlace_check,
+    kernel_diag,
     schur_from_measure,
     sof_members,
 )
@@ -35,6 +36,22 @@ from conftest import fixed_rule_schur, pop_rule
 def test_n256_rule_is_exact_on_its_window(cap, stream):
     rule = pop_rule(fixed_rule_schur(stream, cap), 256)
     assert rule.exactness_residual <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: a one-ulp shift of every node moves the n = 256 kernel weights "
+    "by 3.5e-4 relative at cap 0.6 (9.3 at cap 0.9)",
+)
+def test_n256_weights_absorb_a_one_ulp_node_shift():
+    # why the cap-0.6 stream-3 rule passes 1e-9 exactness with one BLAS thread
+    # (residual 6.5e-10) and fails it with two (5.0e-9): the last node bits
+    schur = fixed_rule_schur(1, 0.6)
+    rule = pop_rule(schur, 256)
+    shifted = np.exp(1j * np.nextafter(rule.node_angles, np.inf))
+    weights = 1.0 / kernel_diag(build_opuc(schur, 256), 255, shifted)
+    assert np.max(np.abs(weights / rule.weights - 1.0)) <= 1e-8
 
 
 @pytest.mark.xfail(

@@ -254,7 +254,7 @@ def test_sof_members_bit_identical_to_one_degree_calls(rng):
             assert got.label == alone.label
             assert (got.anchor_angle, got.w) == (alone.anchor_angle, alone.w)
     assert sof_members(table, SofFamilySpec.f1(w), ()) == []
-    with pytest.raises(ValueError, match="degree 21"):
+    with pytest.raises(ValueError, match=r"degree = 21 outside 1\.\.20"):
         sof_members(table, SofFamilySpec.f1(w), (4, 21))
 
 

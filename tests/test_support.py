@@ -207,7 +207,7 @@ def test_support_estimate_guards():
         support_estimate(Lebesgue(), [], 8, 0.1)
     # the degrees read start at 1; 0 and -3 used to be recorded as given
     for n_min in (0, -3):
-        with pytest.raises(ValueError, match="n_min must be at least 1"):
+        with pytest.raises(ValueError, match=rf"n_min = {n_min} outside 1\.\.8"):
             support_estimate(ArcDensity("uniform", (0.5, 2.5)), [1.0], 8, 0.3, n_min=n_min)
 
 
