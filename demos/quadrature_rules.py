@@ -52,7 +52,8 @@ print("  H_k:    ", np.array2string(rule.weights, precision=8))
 print(f"  weights sum to {rule.weights.sum():.12f}")
 print(f"  exactness residual over |k| <= {N - 1}: {rule.exactness_residual:.3e}")
 
-# 5. the same weights through the Lagrange-moment route, any shift p
+# 5. the same weights from the nodes and moments alone, one Vandermonde
+#    solve on any shift p of the Laurent window
 for p in (0, 2, N - 1):
     drift = np.max(np.abs(weights_via_integral(rule, m, p) - rule.weights))
     print(f"  integral-form weights at p = {p}: max drift {drift:.3e}")

@@ -23,7 +23,6 @@ from .measures import (
     parse_measure,
     schur_from_measure,
 )
-from .opuc import build_opuc
 from .quadrature import rule_from_sof
 from .sof import SofFamilySpec, f_sequence, interlace_check, sof_combo, sof_members
 from .support import support_estimate
@@ -222,10 +221,6 @@ def _anchors(params):
     return [np.exp(1j * float(a)) for a in angles]
 
 
-def _pipeline(measure, n):
-    return build_opuc(schur_from_measure(measure, n), n)
-
-
 def _moments(measure, params):
     return moments(measure, params["n"])
 
@@ -236,7 +231,7 @@ def _schur(measure, params):
 
 def _rule(measure, params):
     n = params["n"]
-    table = _pipeline(measure, n)
+    table = schur_from_measure(measure, n)
     inst = sof_combo(table, _family(params), n)
     # moments on the grid the Schur coefficients were extracted from
     return rule_from_sof(table, moments(measure, 2 * n + 2), inst)
@@ -244,14 +239,14 @@ def _rule(measure, params):
 
 def _zeros(measure, params):
     n_max = params["n_max"]
-    table = _pipeline(measure, n_max)
+    table = schur_from_measure(measure, n_max)
     members = sof_members(table, _family(params), range(1, n_max + 1))
     return [(inst.n, inst.zeros) for inst in members]
 
 
 def _interlace(measure, params):
     n_lo, n_max = params.get("n", 1), params["n_max"]
-    table = _pipeline(measure, n_max)
+    table = schur_from_measure(measure, n_max)
     family = _family(params)
     degrees = range(n_lo, n_max + 1)
     insts = dict(zip(degrees, sof_members(table, family, degrees)))
@@ -261,7 +256,7 @@ def _interlace(measure, params):
             insts[n].zeros,
             insts[n + 1].zeros,
             family.omega0,
-            exclude_anchor=family.anchor_angle if family.B == 0 else None,
+            exclude_anchor=family.anchor_angle if family.B_w == 0 else None,
         )
         results.append((n, n + 1, res.ok, res.witness))
     return results
@@ -269,7 +264,7 @@ def _interlace(measure, params):
 
 def _fsequence(measure, params):
     n_max = params["n_max"]
-    table = _pipeline(measure, n_max)
+    table = schur_from_measure(measure, n_max)
     seq = f_sequence(table, _anchors(params), n_max, float(params.get("omega0", 0.0)))
     return [(inst.index, inst.zeros) for inst in seq]
 

@@ -35,18 +35,9 @@ class ComplexPolynomial:
         c[k] = scale
         return cls(c)
 
-    @classmethod
-    def from_roots(cls, roots):
-        """Monic polynomial with the given roots."""
-        return cls(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        return complex(self.coeffs[-1])
 
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)

@@ -6,7 +6,9 @@ zeros are simple and lie on the unit circle, and the n-point rule with nodes
 at those zeros and weights 1/K_{n-1}(z_k, z_k) integrates every Laurent
 polynomial of degree window [-(n-1), n-1] exactly.  The zeros are the
 eigenvalues of a unitary CMV matrix (invariant_zeros, Golub-Welsch on the
-circle), the weights kernel sums of the normalized recurrence.
+circle), the weights kernel sums of the normalized recurrence;
+weights_via_integral recomputes them independently, as one Vandermonde solve
+on the nodes and the moments.
 
 Orders up to HERMITIAN_MAX_ORDER = 64, where the family paths solve one
 eigenproblem per degree, take the zeros from eigh of the Hermitian part of
@@ -313,25 +315,16 @@ def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> Qu
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:
-    """Weights recomputed as moments of the Lagrange-type Laurent basis.
-
-    With P the monic node polynomial and Q_k = P / (z - z_k), the weight at
-    z_k equals z_k^p / P'(z_k) times sum_j Q_k[j] c_{j-p}, for any integer
-    0 <= p <= n - 1; the value is independent of p, which makes the choice a
-    useful cross-check against the kernel route.
+    """Weights recomputed from the nodes and moments alone, the integrals of
+    the Lagrange-type Laurent basis: the one solution of the Vandermonde system
+    sum_k w_k z_k^j = c_j, j = -p..n-1-p, for any integer 0 <= p <= n - 1.
+    The value is independent of p and shares nothing with the kernel route,
+    which makes it a cross-check of the kernel weights.
     """
     n = rule.order
     p = checked_int(p, "shift p", 0, n - 1)
-    z = rule.nodes
-    node_poly = ComplexPolynomial.from_roots(z)
-    deriv = node_poly.derivative()
-    mom = m.window(-p, n - 1 - p)
-    out = np.empty(n, dtype=float)
-    for k in range(n):
-        quot, _ = node_poly.deflate(z[k])
-        val = np.dot(quot.padded(n), mom)
-        out[k] = float(np.real(z[k] ** p * val / deriv(z[k])))
-    return out
+    powers = np.exp(1j * np.outer(np.arange(-p, n - p), rule.node_angles))
+    return np.real(np.linalg.solve(powers, m.window(-p, n - 1 - p)))
 
 
 TEST_FUNCTIONS = {

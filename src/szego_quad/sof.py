@@ -14,10 +14,12 @@ phase folds it onto the real line.  The two distinguished families are
 
 and the general member uses alpha_n = w^{-m/2} (A(w) Phi_n(w) + B(w)
 Omega_n(w)) with m = n + k for polynomial coefficients A, B satisfying the
-reversal symmetries A*(k) = A and B*(k) = -B.  Half powers are always
-realized as exp(i m theta / 2) on angles folded into the working window, so
-both sides of every identity use the same branch.  Every member goes through
-the one coefficient formula in sof_members, which builds a family's members
+reversal symmetries A*(k) = A and B*(k) = -B.  The SofFamilySpec
+constructor checks every family and evaluates A and B at the anchor, once.
+Half powers are always realized as exp(i m theta / 2) on angles folded into
+the working window, so both sides of every identity use the same branch.
+Every member goes through the one coefficient formula in sof_members, which
+reads the stored A(w) and B(w) and builds a family's members
 for a list of degrees from one szego_sweep at the anchor (and one on the
 sign-flipped sequence when a second-kind part is present): Phi_n(w) and
 Omega_n(w) both come from the normalized recurrence (Omega_n is Phi_n of the
@@ -62,8 +64,17 @@ def _canonical_anchor(w, omega0):
 class SofFamilySpec:
     """Declarative description of one semi-orthogonal family: the anchor w, the
     window base omega0 and one coefficient pair (A, B) with symmetry degree k,
-    alpha_n = w^{-(n+k)/2} (A Phi_n(w) + B Omega_n(w)).  A and B are numbers,
-    or polynomials evaluated at the anchor; tag opens the member labels."""
+    alpha_n = w^{-(n+k)/2} (A Phi_n(w) + B Omega_n(w)).  A and B are
+    polynomials, or numbers taken as polynomials of degree 0; tag opens the
+    member labels.
+
+    The constructor is the one check of a family: w lies on the circle
+    (OffCircle), k is an integer of at least the degrees of A and B, A*(k) = A
+    and B*(k) = -B hold to 1e-10 relative (so a number A is real and a number
+    B imaginary), and A and B are not both zero (ValueError otherwise).  It
+    stores the anchor folded into the omega0 window (anchor, anchor_angle) and
+    the values A(w) and B(w) (A_w, B_w); a polynomial is evaluated there and
+    nowhere else, a number is its own value."""
 
     w: complex
     omega0: float = 0.0
@@ -71,6 +82,30 @@ class SofFamilySpec:
     B: complex | ComplexPolynomial = 0.0
     k: int = 0
     tag: str = "f1("
+    anchor: complex = field(init=False, repr=False)
+    anchor_angle: float = field(init=False, repr=False)
+    A_w: complex = field(init=False, repr=False)
+    B_w: complex = field(init=False, repr=False)
+
+    def __post_init__(self):
+        anchor, angle = _canonical_anchor(self.w, self.omega0)
+        pair = (self.A, self.B)
+        A, B = (c if isinstance(c, ComplexPolynomial) else ComplexPolynomial([c]) for c in pair)
+        k = checked_int(self.k, "symmetry degree k", max(A.degree, B.degree))
+        scale = max(1.0, float(np.max(np.abs(A.coeffs))), float(np.max(np.abs(B.coeffs))))
+        residual = (A.conj_reverse(k) - A).coeffs, (B.conj_reverse(k) + B).coeffs
+        worst = float(np.max(np.abs(np.concatenate(residual))))
+        if worst > 1e-10 * scale:
+            raise ValueError(
+                "coefficient symmetry violated: need A*(k) = A and B*(k) = -B "
+                f"(residual {worst:.3e})"
+            )
+        if not (np.any(A.coeffs) or np.any(B.coeffs)):
+            raise ValueError("family coefficients A and B must not both vanish")
+        A_w, B_w = (c(anchor) if isinstance(c, ComplexPolynomial) else c for c in pair)
+        stored = dict(k=k, anchor=anchor, anchor_angle=angle, A_w=A_w, B_w=B_w)
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def f1(cls, w, omega0=0.0):
@@ -85,28 +120,12 @@ class SofFamilySpec:
         """a1 * first kind + a2 * second kind."""
         a1 = float(a1)
         a2 = float(a2)
-        if a1 == 0.0 and a2 == 0.0:
-            raise ValueError("combo coefficients must not both vanish")
         tag = f"combo(a1={a1:g}, a2={a2:g}, "
         return cls(w=complex(w), omega0=float(omega0), A=a1, B=-1j * a2, tag=tag)
 
     @classmethod
     def polyseq(cls, A: ComplexPolynomial, B: ComplexPolynomial, k: int, w, omega0=0.0):
-        k = checked_int(k, "symmetry degree k", max(A.degree, B.degree))
-        scale = max(1.0, float(np.max(np.abs(A.coeffs))), float(np.max(np.abs(B.coeffs))))
-        res_a = A.conj_reverse(k) - A
-        res_b = B.conj_reverse(k) + B
-        worst = max(float(np.max(np.abs(res_a.coeffs))), float(np.max(np.abs(res_b.coeffs))))
-        if worst > 1e-10 * scale:
-            raise ValueError(
-                "coefficient symmetry violated: need A*(k) = A and B*(k) = -B "
-                f"(residual {worst:.3e})"
-            )
         return cls(w=complex(w), omega0=float(omega0), A=A, B=B, k=k, tag=f"polyseq(k={k}, ")
-
-    @property
-    def anchor_angle(self):
-        return _canonical_anchor(self.w, self.omega0)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +218,17 @@ def sof_members(table: SchurSequence, spec: SofFamilySpec, degrees) -> list[SofI
     """Members of the declared family at each of the given degrees, in that order;
     the one path for every family.
 
-    alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with m = n + k, the pair
-    (A, B) taken from the spec and evaluated at the anchor when it is a pair
-    of polynomials.  Phi_n(w) and Omega_n(w) are sqrt(e_n) times the
-    normalized recurrence on a and on -a, each formed only when its
-    coefficient is nonzero, and each by one szego_sweep up to the highest
-    degree asked for.  The anchor is an exact zero if and only if B = 0.
+    alpha_n = w^{-m/2} (A Phi_n(w) + B Omega_n(w)) with m = n + k, the
+    anchor and the values A(w) and B(w) as the spec stored them.  Phi_n(w)
+    and Omega_n(w) are sqrt(e_n) times the normalized recurrence on a and on
+    -a, each formed only when its coefficient is nonzero, and each by one
+    szego_sweep up to the highest degree asked for.  The anchor is an exact
+    zero if and only if B(w) = 0.
     ZeroCoefficient is raised at the first degree whose alpha_n vanishes
     relative to its terms.
     """
     degrees = [checked_int(n, "degree", 1, table.max_order) for n in degrees]
-    w, angle = _canonical_anchor(spec.w, spec.omega0)
-    A, B = (c(w) if isinstance(c, ComplexPolynomial) else c for c in (spec.A, spec.B))
+    w, angle, A, B = spec.anchor, spec.anchor_angle, spec.A_w, spec.B_w
     top = max(degrees, default=0)
     wanted = set(degrees)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .circle import TWO_PI, circular_distance, fold_angle, in_open_arc
 from .errors import checked_int
 from .measures import MeasureSpec, schur_from_measure
-from .opuc import SchurSequence, build_opuc
+from .opuc import SchurSequence
 from .sof import SofFamilySpec, sof_members
 
 _EDGE_TOL = 1e-12
@@ -193,19 +193,19 @@ def support_estimate(
     per-anchor estimates with each anchor's ball removed.  Only the degrees
     n_min..n_max are read (n_min defaults to n_max // 2), so only they are
     built, each anchor's family from one recurrence sweep.  A bad epsilon,
-    n_max or n_min raises ValueError (a non-integer degree TypeError) before
-    any numerics.
+    n_max or n_min raises ValueError (a non-integer degree TypeError), and an
+    anchor off the circle OffCircle, before any numerics.
     """
     n_max = checked_int(n_max, "n_max", 1)
     epsilon = _radius(epsilon)
-    anchors = [complex(w) for w in np.atleast_1d(anchors)]
-    if not anchors:
+    first_kind = [SofFamilySpec.f1(w) for w in np.atleast_1d(anchors)]
+    if not first_kind:
         raise ValueError("need at least one anchor")
     n_min = checked_int(max(1, n_max // 2) if n_min is None else n_min, "n_min", 1, n_max)
-    table = build_opuc(schur_from_measure(spec, n_max), n_max)
+    table = schur_from_measure(spec, n_max)
     orders = range(n_min, n_max + 1)
-    families = [sof_members(table, SofFamilySpec.f1(w), orders) for w in anchors]
-    angles = [f[0].anchor_angle for f in families]
+    families = [sof_members(table, f, orders) for f in first_kind]
+    angles = [f.anchor_angle for f in first_kind]
     isolated = [
         angle
         for angle, f in zip(angles, families)

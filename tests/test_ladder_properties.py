@@ -22,7 +22,8 @@ def ladders(draw):
     return SchurSequence(np.array(mags) * np.exp(1j * np.array(phases))), anchor
 
 
-@settings(max_examples=25, deadline=None, database=None)
+# derandomized: every run draws the same 25 ladders, so a failing draw replays
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(ladders())
 def test_every_ladder_member_drives_a_positive_exact_rule(ladder):
     schur, anchor = ladder

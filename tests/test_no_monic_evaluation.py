@@ -3,11 +3,12 @@
 Point values, member values and slopes come from the normalized Szego
 recurrence and zeros from the CMV eigenproblem; Horner on monic coefficients
 is kept for output and test oracles only.  Every library entry point below
-must run with polynomial evaluation and differentiation disabled.
-Polynomial families are left out: they evaluate the caller's coefficient
-polynomials A and B at the anchor.  The monic Phi_n table itself is built
-only when output or an oracle reads it, so the entry points and the CLI
-tasks must also run with its builders disabled.
+must run with polynomial evaluation and differentiation disabled, the
+integral-form weights and the members of a polynomial family included: the
+family's constructor, run before the guard, is the one place that evaluates
+its coefficient polynomials A and B at the anchor.  The monic Phi_n table
+itself is built only when output or an oracle reads it, so the entry points
+and the CLI tasks must also run with its builders disabled.
 """
 
 import numpy as np
@@ -29,8 +30,10 @@ from szego_quad import (
     sof_combo,
     sof_f1,
     sof_f2,
+    sof_members,
     sturm_sign_probe,
     support_estimate,
+    weights_via_integral,
     zero_cloud,
 )
 from szego_quad.cli import main
@@ -78,6 +81,28 @@ def test_numeric_core_reads_no_monic_values(no_horner):
     rule = make_rule(table, moments_from_schur(schur, 12), make_pop(table, 12, 1.0, 1.0))
     assert rule.exactness_residual < 1e-10
     assert kernel_diag(table, 10, w) >= 1.0
+
+
+@pytest.fixture(scope="module")
+def polyseq_family():
+    # built before the guard: A = 1 + z and B = -1 + z are evaluated here
+    A, B = ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([-1.0, 1.0])
+    return SofFamilySpec.polyseq(A, B, 1, np.exp(2.0j))
+
+
+def test_polyseq_members_read_no_coefficient_values(polyseq_family, no_horner):
+    table = build_opuc(SCHUR, 12)
+    members = sof_members(table, polyseq_family, range(1, 13))
+    assert [len(inst.zeros) for inst in members] == list(range(1, 13))
+    assert np.all(sturm_sign_probe(members[-1], members[-2]) != 0)
+
+
+def test_integral_weights_read_no_monic_values(no_horner):
+    table = build_opuc(SCHUR, 12)
+    m = moments_from_schur(SCHUR, 12)
+    rule = make_rule(table, m, make_pop(table, 12, 1.0, 1.0))
+    for p in (0, 11):
+        assert np.allclose(weights_via_integral(rule, m, p), rule.weights, rtol=0, atol=1e-10)
 
 
 def test_member_values_and_probes_read_no_monic_values(no_horner):

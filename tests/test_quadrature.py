@@ -319,6 +319,17 @@ def test_weights_via_integral_random(rng):
         assert np.allclose(weights_via_integral(rule, m, p), rule.weights, atol=1e-10)
 
 
+def test_weights_via_integral_matches_kernel_weights_at_64():
+    # nodes of the 64-point rule on 1 - cos(theta): one Vandermonde solve on
+    # the moments agrees with the kernel weights to rounding at every shift
+    spec = Density("one_minus_cos")
+    table = schur_from_measure(spec, 64)
+    m = moments(spec, 64)
+    rule = make_rule(table, m, make_pop(table, 64, 1.0, 1.0))
+    for p in (0, 32, 63):
+        assert np.max(np.abs(weights_via_integral(rule, m, p) - rule.weights)) < 1e-12
+
+
 def test_weights_via_integral_shift_bounds():
     table, m = lebesgue_setup(3)
     rule = make_rule(table, m, make_pop(table, 3, 1.0, 1.0))

@@ -1,6 +1,7 @@
 """Semi-orthogonal functions: construction, zeros, interlacing, sign probes."""
 
 import hashlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from szego_quad import (
     Atomic,
     ComplexPolynomial,
     Mixture,
+    OffCircle,
     PhaseLeak,
     SchurSequence,
     SofFamilySpec,
@@ -187,6 +189,43 @@ def test_combo_mixed_interlaces_parents():
 def test_combo_coefficients_must_not_both_vanish():
     with pytest.raises(ValueError):
         SofFamilySpec.combo(0.0, 0.0, 1.0)
+
+
+def test_constructor_checks_every_family():
+    # every check lives in the constructor, so a bare spec is checked like a preset
+    with pytest.raises(TypeError):
+        SofFamilySpec(w=1.0, k=2.5)
+    with pytest.raises(ValueError, match="symmetry"):
+        SofFamilySpec(w=1.0, A=1j)
+    with pytest.raises(ValueError, match="symmetry"):
+        SofFamilySpec(w=1.0, B=1.0)
+    A, B = ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([-1.0, 1.0])
+    with pytest.raises(ValueError, match="symmetry"):
+        SofFamilySpec(w=1.0, A=A, B=A, k=1)
+    with pytest.raises(ValueError, match="degree"):
+        SofFamilySpec(w=1.0, A=ComplexPolynomial([1.0, 0.0, 1.0]), B=B, k=1)
+    with pytest.raises(ValueError, match="both vanish"):
+        SofFamilySpec(w=1.0, A=0.0)
+    with pytest.raises(ValueError, match="both vanish"):
+        SofFamilySpec(w=1.0, A=ComplexPolynomial([0.0]), B=ComplexPolynomial([0.0, 0.0]), k=1)
+    with pytest.raises(OffCircle):
+        SofFamilySpec(w=1.1)
+    # the presets carry no checks of their own
+    for preset in (SofFamilySpec.combo, SofFamilySpec.polyseq):
+        assert "raise" not in inspect.getsource(preset)
+        assert "checked_int" not in inspect.getsource(preset)
+
+
+def test_constructor_stores_the_folded_anchor_and_the_values_there():
+    w = np.exp(-2.0j)
+    A, B = ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([1j, 1j])
+    spec = SofFamilySpec.polyseq(A, B, 1, w, omega0=0.5)
+    assert 0.5 <= spec.anchor_angle < 0.5 + 2 * np.pi
+    assert abs(spec.anchor - w) < 1e-15
+    assert spec.anchor == np.exp(1j * spec.anchor_angle)
+    assert spec.A_w == A(spec.anchor) and spec.B_w == B(spec.anchor)
+    combo = SofFamilySpec.combo(0.7, -1.3, w)
+    assert (combo.A_w, combo.B_w) == (0.7, 1.3j)
 
 
 def test_combo_anchored_zero_pinned():

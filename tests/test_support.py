@@ -11,6 +11,7 @@ from szego_quad import (
     Atomic,
     Lebesgue,
     Mixture,
+    OffCircle,
     SchurSequence,
     SofFamilySpec,
     SzegoQuadError,
@@ -209,6 +210,11 @@ def test_support_estimate_guards():
     for n_min in (0, -3):
         with pytest.raises(ValueError, match=rf"n_min = {n_min} outside 1\.\.8"):
             support_estimate(ArcDensity("uniform", (0.5, 2.5)), [1.0], 8, 0.3, n_min=n_min)
+    # an anchor off the circle is refused before the extraction, which would
+    # fail on two atoms at n_max = 2
+    two_atoms = Atomic(((0.0, 0.5), (1.0, 0.5)))
+    with pytest.raises(OffCircle):
+        support_estimate(two_atoms, [1.0, 1.5], 2, 0.1)
 
 
 # The pairwise interval algebra that support_estimate and accumulation_set used
