@@ -139,17 +139,20 @@ def _checked(cfg, task, flags, measure_flag=None):
     """Merge a config with flag values and check the result against the contract.
 
     The one check of ``validate`` and of every run, made before any numerics:
-    the config's shape, task and measure (the --measure flag, inline JSON or
-    a file path, over the config's; Lebesgue by default), then the name of
-    each merged parameter, whether the task reads it, its type and value, the
-    task's required ones, and the cross-parameter ranges.  Raises ConfigError
-    listing every problem, with the measure's own detail; returns the
-    parameters and the measure.
+    the config's shape and keys, task and measure (the --measure flag, inline
+    JSON or a file path, over the config's; Lebesgue by default), then the
+    name of each merged parameter, whether the task reads it, its type and
+    value, the task's required ones, and the cross-parameter ranges.  Raises
+    ConfigError listing every problem, with the measure's own detail; returns
+    the parameters and the measure.
     """
     problems, detail = [], {}
     if not isinstance(cfg, dict):
         problems.append("config: expected a JSON object")
         cfg = {}
+    for key in cfg:
+        if key not in ("task", "measure", "parameters"):
+            problems.append(f"{key}: unknown key; expected one of task, measure, parameters")
     declared = cfg.get("task")
     if declared is not None:
         if declared not in TASKS or declared == "validate":

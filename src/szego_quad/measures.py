@@ -84,7 +84,6 @@ class ArcDensity:
     name: str
     arc: tuple[float, float]
     param: complex | float | None = None
-    panels: int | None = None
 
 
 @dataclass(frozen=True)
@@ -172,11 +171,19 @@ def _checked_param(obj, at):
 def parse_measure(obj) -> MeasureSpec:
     """Build a MeasureSpec from its JSON object form.
 
-    The variant tag selects the shape; every diagnostic names the offending
-    field by its full path (``measure.components[0].measure.name``) so the
-    CLI validate task can surface it verbatim.
+    The variant tag selects the shape; a key the variant does not read is a
+    ConfigError, and every diagnostic names the offending field by its full
+    path (``measure.components[0].measure.name``) so the CLI validate task
+    can surface it verbatim.
     """
     return _parse(obj, "measure")
+
+
+def _known_keys(obj, at, *keys):
+    """Refuse the first key of obj that is not one of keys, by its path."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{at}.{key}: unknown key; expected one of {', '.join(keys)}")
 
 
 def _parse(obj, at):
@@ -184,8 +191,10 @@ def _parse(obj, at):
         raise ConfigError(f"{at} must be a JSON object with a 'variant' tag")
     variant = obj.get("variant")
     if variant == "lebesgue":
+        _known_keys(obj, at, "variant")
         return Lebesgue()
     if variant == "density":
+        _known_keys(obj, at, "variant", "name", "param", "grid")
         name = obj.get("name")
         if not isinstance(name, str):
             raise ConfigError(f"{at}.name: density name must be a string")
@@ -203,6 +212,7 @@ def _parse(obj, at):
                 raise ConfigError(f"{at}.param: bernstein_szego parameter must satisfy |param| < 1")
         return Density(name=name, param=param, grid=grid)
     if variant == "arc_density":
+        _known_keys(obj, at, "variant", "name", "arc", "param")
         name = obj.get("name")
         if not isinstance(name, str):
             raise ConfigError(f"{at}.name: arc density name must be a string")
@@ -217,11 +227,9 @@ def _parse(obj, at):
         lo, hi = float(arc[0]), float(arc[1])
         if not lo < hi or hi - lo > TWO_PI + 1e-12:
             raise ConfigError(f"{at}.arc: need lo < hi and hi - lo <= 2*pi")
-        panels = obj.get("panels")
-        if panels is not None and (not json_integer(panels) or panels <= 0):
-            raise ConfigError(f"{at}.panels: must be a positive integer")
-        return ArcDensity(name=name, arc=(lo, hi), param=_checked_param(obj, at), panels=panels)
+        return ArcDensity(name=name, arc=(lo, hi), param=_checked_param(obj, at))
     if variant == "atomic":
+        _known_keys(obj, at, "variant", "atoms")
         atoms = obj.get("atoms")
         if not isinstance(atoms, (list, tuple)) or not atoms:
             raise ConfigError(f"{at}.atoms: expected a nonempty list of [angle, weight]")
@@ -243,6 +251,7 @@ def _parse(obj, at):
             raise ConfigError(f"{at}.atoms: atom angles must be distinct")
         return Atomic(atoms=tuple(parsed))
     if variant == "mixture":
+        _known_keys(obj, at, "variant", "components")
         comps = obj.get("components")
         if not isinstance(comps, (list, tuple)) or not comps:
             raise ConfigError(f"{at}.components: expected a nonempty list")
@@ -252,6 +261,7 @@ def _parse(obj, at):
                 raise ConfigError(
                     f"{at}.components[{i}]: expected an object with 'weight' and 'measure'"
                 )
+            _known_keys(comp, f"{at}.components[{i}]", "weight", "measure")
             weight = comp["weight"]
             if not finite_number(weight) or weight <= 0:
                 raise ConfigError(
@@ -369,7 +379,7 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
         fn = _lookup("arc density", spec.name, ARC_DENSITIES, "measure")
         lo, hi = spec.arc
         rho = lambda t: fn(t, lo, hi, spec.param)
-        P = max(checked_int(spec.panels or 0, "panels", 0), K, 32)
+        P = max(K, 32)
     else:
         raise TypeError(f"not a measure spec: {spec!r}")
     theta, w = _gl_panels(lo, hi, scale * P)

@@ -6,9 +6,10 @@ zeros are simple and lie on the unit circle, and the n-point rule with nodes
 at those zeros and weights 1/K_{n-1}(z_k, z_k) integrates every Laurent
 polynomial of degree window [-(n-1), n-1] exactly.  The zeros are the
 eigenvalues of a unitary CMV matrix (invariant_zeros, Golub-Welsch on the
-circle), the weights kernel sums of the normalized recurrence;
-weights_via_integral recomputes them independently, as one Vandermonde solve
-on the nodes and the moments.
+circle), the weights kernel sums of the normalized recurrence, all from
+member_rule_parts: make_rule hands it a pop's zeros, rule_from_sof and
+f_sequence semi-orthogonal members' rule nodes.  weights_via_integral
+recomputes them independently, one Vandermonde solve on nodes and moments.
 
 Orders up to HERMITIAN_MAX_ORDER = 64, where the family paths solve one
 eigenproblem per degree, take the zeros from eigh of the Hermitian part of
@@ -203,10 +204,6 @@ class QuadratureRule:
     source: str
     exactness_residual: float | None = None
 
-    @property
-    def nodes(self):
-        return np.exp(1j * self.node_angles)
-
     def apply_theta(self, fn) -> float:
         """Apply the rule to a real function of the angle."""
         return float(np.dot(self.weights, np.asarray(fn(self.node_angles), dtype=float)))
@@ -229,22 +226,25 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
     return worst
 
 
-def _kernel_weights(table: SchurSequence, degrees, angles):
-    """Weights H_k = 1 / K_{n-1}(z_k, z_k) at the node angles, degrees = n - 1
-    one for all nodes or one per node, from one kernel_diag sweep."""
-    return 1.0 / kernel_diag(table, degrees, np.exp(1j * angles))
+def member_rule_parts(table: SchurSequence, node_sets, omega0):
+    """(nodes, weights) of the Szego rule on each node set, the one path from
+    nodes to a rule.  A set of n node angles is folded into [omega0, omega0 +
+    2 pi) and sorted, and each node is weighed by H_k = 1 / K_{n-1}(z_k, z_k)
+    at its own set's n; one kernel_diag sweep weighs every node of every set,
+    bit-identical to a kernel_diag call per set."""
+    nodes = [np.sort(fold_angle(angles, omega0)) for angles in node_sets]
+    orders = np.array([len(angles) for angles in nodes])
+    K = kernel_diag(table, np.repeat(orders - 1, orders), np.exp(1j * np.concatenate(nodes)))
+    return list(zip(nodes, np.split(1.0 / K, np.cumsum(orders)[:-1])))
 
 
-def _kernel_rule(m: MomentTable, angles, weights, order, omega0, source):
+def _kernel_rule(m: MomentTable, angles, weights, omega0, source):
     """Rule on the given nodes and kernel weights, the exactness defect over
     the Laurent window |k| <= n - 1 stamped on it."""
+    residual = _exactness_residual(m, angles, weights, len(angles))
     return QuadratureRule(
-        order=order,
-        node_angles=angles,
-        weights=weights,
-        omega0=float(omega0),
-        source=source,
-        exactness_residual=_exactness_residual(m, angles, weights, order),
+        order=len(angles), node_angles=angles, weights=weights, omega0=float(omega0),
+        source=source, exactness_residual=residual,
     )
 
 
@@ -259,59 +259,39 @@ def _check_member_table(table: SchurSequence, own: SchurSequence, k):
 def make_rule(table: SchurSequence, m: MomentTable, pop: InvariantPop, omega0=0.0) -> QuadratureRule:
     """Szego rule on the zeros of an invariant polynomial, kernel weights.
 
-    Weights are H_k = 1 / K_{n-1}(z_k, z_k), the kernel sum of the
-    normalized recurrence; the measured exactness defect over the Laurent
-    window |k| <= n - 1 is stamped on the rule for inspection.  A table whose
-    first n - 1 Schur coefficients differ from the pop's raises ValueError.
+    Weights are H_k = 1 / K_{n-1}(z_k, z_k) from member_rule_parts; the
+    measured exactness defect over the Laurent window |k| <= n - 1 is stamped
+    on the rule for inspection.  A table whose first n - 1 Schur coefficients
+    differ from the pop's raises ValueError.
     """
     _check_member_table(table, pop.table, pop.order - 1)
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
-    angles = pop_zeros(pop, omega0)
-    weights = _kernel_weights(table, pop.order - 1, angles)
-    return _kernel_rule(m, angles, weights, pop.order, omega0, src)
-
-
-def member_rule_parts(table: SchurSequence, zeros_list, orders, anchor_angles, omega0):
-    """(nodes, weights) of the order-point rules of several semi-orthogonal
-    members from one kernel sweep.  The nodes of a member are its zeros, plus
-    its anchor when it has order - 1 of them, folded into [omega0, omega0 +
-    2 pi) and sorted; each is weighed by 1 / K_{order-1} at its member's
-    order, bit-identical to a kernel_diag call per member."""
-    nodes = []
-    for zeros, order, anchor_angle in zip(zeros_list, orders, anchor_angles):
-        angles = fold_angle(np.asarray(zeros, dtype=float), omega0)
-        if order == len(angles) + 1:
-            angles = np.append(angles, fold_angle(anchor_angle, omega0))
-        elif order != len(angles):
-            raise ValueError(f"instance with {len(angles)} zeros cannot drive an order-{order} rule")
-        nodes.append(np.sort(angles))
-    orders = np.asarray(orders, dtype=int)
-    weights = _kernel_weights(table, np.repeat(orders - 1, orders), np.concatenate(nodes))
-    return list(zip(nodes, np.split(weights, np.cumsum(orders)[:-1])))
+    ((angles, weights),) = member_rule_parts(table, [pop_zeros(pop, omega0)], omega0)
+    return _kernel_rule(m, angles, weights, omega0, src)
 
 
 def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> QuadratureRule:
-    """Quadrature rule generated by a semi-orthogonal function's zero set.
+    """Quadrature rule on a semi-orthogonal member's rule nodes (SofInstance.rule_nodes).
 
-    For the odd members of the alternating sequence the anchor is the one
-    extra node (the instance carries one fewer zero than its order).  The
-    weights are the table's kernel and the nodes the member's zeros, so a
-    table whose first order - 1 Schur coefficients differ from the member's
-    raises ValueError.  A member that carries its rule nodes and weights
-    (f_sequence builds them with member_rule_parts) has them taken as they
-    are when omega0 is its own window; only the exactness defect is stamped.
+    An instance whose rule nodes are not index many raises ValueError.  The
+    weights are the table's kernel and the nodes the member's, so a table
+    whose first order - 1 Schur coefficients differ from the member's raises
+    ValueError.  A member that carries its rule nodes and weights (f_sequence
+    builds them with member_rule_parts) has them taken as they are when
+    omega0 is its own window; only the exactness defect is stamped.
     """
     omega0 = float(inst.omega0 if omega0 is None else omega0)
     order = inst.index
     _check_member_table(table, inst.table, order - 1)
+    nodes = inst.rule_nodes
+    if len(nodes) != order:
+        raise ValueError(f"instance with {len(inst.zeros)} zeros cannot drive an order-{order} rule")
     src = f"sof({inst.label})" if inst.label else "sof"
     if inst.rule_weights is not None and omega0 == inst.omega0:
         angles, weights = inst.rule_angles, inst.rule_weights
     else:
-        ((angles, weights),) = member_rule_parts(
-            table, [inst.zeros], [order], [inst.anchor_angle], omega0
-        )
-    return _kernel_rule(m, angles, weights, order, omega0, src)
+        ((angles, weights),) = member_rule_parts(table, [nodes], omega0)
+    return _kernel_rule(m, angles, weights, omega0, src)
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:

@@ -25,9 +25,10 @@ sign-flipped sequence when a second-kind part is present): Phi_n(w) and
 Omega_n(w) both come from the normalized recurrence (Omega_n is Phi_n of the
 sign-flipped Schur sequence), not from a monic table, and the zeros are CMV
 eigenvalues (invariant_zeros).  sof_combo is its one-degree call.  The
-alternating ladder f_sequence also takes the rules of all its members from
-one quadrature.member_rule_parts call, one kernel_diag sweep for all of
-them, so its rules cost no further recurrence runs.  Values
+alternating ladder f_sequence hands the rule nodes of all its members
+(SofInstance.rule_nodes) to one quadrature.member_rule_parts call, one
+kernel_diag sweep for all of them, so its rules cost no further recurrence
+runs.  Values
 use the same recurrence, phi_n = Phi_n / sqrt(e_n): f_n = 2 sqrt(e_n) Im u
 with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2}, and at a zero the
 Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z) / |phi_n(z)|^2;
@@ -136,10 +137,10 @@ class SofInstance:
     index is the position in the generating sequence and equals n except for
     the odd members of the alternating anchor sequence, which carry one
     fewer zero than their index; alpha belongs to the degree-index member.
-    Members of f_sequence carry the read-only nodes (folded into the omega0
-    window and sorted) and kernel weights of their order-index rule in
-    rule_angles and rule_weights, which belong to these zeros; other members
-    carry None.
+    rule_nodes are the nodes of the order-index Szego rule.  Members of
+    f_sequence carry the read-only nodes (folded into the omega0 window and
+    sorted) and kernel weights of that rule in rule_angles and rule_weights;
+    other members carry None.
     """
 
     n: int
@@ -153,6 +154,14 @@ class SofInstance:
     label: str = ""
     rule_angles: np.ndarray | None = field(default=None, repr=False)
     rule_weights: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rule_nodes(self) -> np.ndarray:
+        """Node angles of the order-index rule: the zeros, plus the anchor for F_1 and
+        the odd ladder members, index - 1 zeros each, which belong to |z - w|^2 d(mu)."""
+        if len(self.zeros) == self.index - 1:
+            return np.append(self.zeros, self.anchor_angle)
+        return self.zeros
 
     @property
     def numerator(self) -> ComplexPolynomial:
@@ -280,13 +289,13 @@ def f_sequence(table: SchurSequence, w_seq, count: int, omega0=0.0) -> list[SofI
     the first-kind numerator of degree 2k + 1 divided by (z - w), a
     1-invariant polynomial of degree 2k whose zeros are those of the
     first-kind member without the anchor; the anchor re-enters as the extra
-    quadrature node; it keeps the first-kind alpha.  F_1 is the constant 1
-    with no zeros.  The members anchored at one point come from one
-    sof_members call, so one recurrence sweep per distinct anchor.  Each
-    member F_j carries the nodes and weights of its order-j rule
-    (rule_angles, rule_weights), which rule_from_sof takes as they are:
-    member_rule_parts weighs the nodes of every member at once, each at its
-    member's degree j - 1, in one kernel_diag sweep.
+    quadrature node (SofInstance.rule_nodes); it keeps the first-kind alpha.
+    F_1 is the constant 1 with no zeros.  The members anchored at one point
+    come from one sof_members call, so one recurrence sweep per distinct
+    anchor.  Each member F_j carries the nodes and weights of its order-j
+    rule (rule_angles, rule_weights), which rule_from_sof takes as they are:
+    member_rule_parts weighs the rule nodes of every member at once, each at
+    its member's degree j - 1, in one kernel_diag sweep.
     """
     count = checked_int(count, "count", 1, table.max_order)
     ws = list(w_seq) if np.ndim(w_seq) > 0 or isinstance(w_seq, (list, tuple)) else [w_seq] * count
@@ -323,13 +332,7 @@ def f_sequence(table: SchurSequence, w_seq, count: int, omega0=0.0) -> list[SofI
             drop = int(np.argmin(circular_distance(inst.zeros, inst.anchor_angle)))
             inst = replace(inst, n=idx - 1, zeros=np.delete(inst.zeros, drop))
         members.append(inst)
-    rules = member_rule_parts(
-        table,
-        [inst.zeros for inst in members],
-        range(1, count + 1),
-        [inst.anchor_angle for inst in members],
-        omega0,
-    )
+    rules = member_rule_parts(table, [inst.rule_nodes for inst in members], omega0)
     out = []
     for idx, (inst, (angles, weights)) in enumerate(zip(members, rules), start=1):
         angles.flags.writeable = weights.flags.writeable = False

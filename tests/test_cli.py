@@ -413,6 +413,17 @@ def test_bad_parameter_values_exit_2(capsys, tmp_path, argv, params):
         {"task": "support", "measure": {"variant": "mixture", "components": [
             {"weight": 1, "measure": {"variant": "density", "name": 7}}]},
          "parameters": {"n_max": 8, "epsilon": 0.3}},
+        # keys the code does not read: a misspelled measure used to leave Lebesgue in force
+        {"task": "moments", "measur": {"variant": "density", "name": "one_minus_cos"},
+         "parameters": {"n": 2}},
+        {"task": "moments", "measure": {"variant": "density", "name": "one_minus_cos", "gird": 99},
+         "parameters": {"n": 2}},
+        {"task": "rule", "measure": {"variant": "mixture", "components": [
+            {"weight": 1, "wieght": 2, "measure": {"variant": "lebesgue"}}]},
+         "parameters": {"n": 3}},
+        {"task": "schur", "measure": {"variant": "arc_density", "name": "uniform",
+                                      "arc": [1.0, 3.0], "panels": 64},
+         "parameters": {"n_max": 4}},
     ],
 )
 def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
@@ -443,6 +454,15 @@ def test_validate_and_run_agree_on_bad_configs(capsys, tmp_path, config):
          "parameters.epsilon: must be positive"),
         ({"task": "moments", "parameters": {"n": 3, "out": 5}}, "moments",
          "parameters.out: expected a string"),
+        ({"task": "moments", "measur": {"variant": "lebesgue"}, "parameters": {"n": 2}}, "moments",
+         "measur: unknown key; expected one of task, measure, parameters"),
+        ({"task": "moments", "measure": {"variant": "density", "name": "uniform", "gird": 99},
+          "parameters": {"n": 2}}, "moments",
+         "measure.gird: unknown key; expected one of variant, name, param, grid"),
+        ({"task": "moments", "measure": {"variant": "mixture", "components": [
+            {"weight": 1, "wieght": 2, "measure": {"variant": "lebesgue"}}]},
+          "parameters": {"n": 2}}, "moments",
+         "measure.components[0].wieght: unknown key; expected one of weight, measure"),
     ],
 )
 def test_config_shape_and_task_diagnostics_exit_2(capsys, tmp_path, config, task, diagnostic):

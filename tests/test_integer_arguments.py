@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from szego_quad import (
-    ArcDensity,
     ComplexPolynomial,
     Density,
     Lebesgue,
@@ -52,11 +51,6 @@ A, B = ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([-1.0, 1.0])
 CASES = {
     "moments K": (lambda k: moments(Lebesgue(), k), -1, "K = -1 outside 0.."),
     "moments grid": (lambda k: moments(Density("uniform", grid=k), 2), -1, "grid = -1 outside 0.."),
-    "moments panels": (
-        lambda k: moments(ArcDensity("uniform", (1.0, 2.0), panels=k), 2),
-        -1,
-        "panels = -1 outside 0..",
-    ),
     "schur_from_moments": (lambda k: schur_from_moments(MOMENTS, k), -1, "n_max = -1 outside 0.."),
     "schur_from_measure": (
         lambda k: schur_from_measure(Lebesgue(), k),

@@ -51,8 +51,8 @@ def test_parse_round_trips():
             ArcDensity(name="uniform", arc=(1.0, 3.0)),
         ),
         (
-            {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "panels": 64},
-            ArcDensity(name="hann", arc=(0.0, 2.0), panels=64),
+            {"variant": "arc_density", "name": "hann", "arc": [0.0, 2.0], "param": None},
+            ArcDensity(name="hann", arc=(0.0, 2.0)),
         ),
         (
             {"variant": "atomic", "atoms": [[0.0, 0.5], [3.14, 0.5]]},
@@ -132,13 +132,25 @@ def test_parse_field_diagnostics():
         ({"variant": "density", "name": "bernstein_szego", "param": 1.0}, "measure.param"),
         ({"variant": "arc_density", "name": "uniform", "arc": [2.0, 1.0]}, "measure.arc"),
         ({"variant": "arc_density", "name": "uniform", "arc": [0.0]}, "measure.arc"),
+        # a key the variant does not read, a misspelling or a removed option
+        ({"variant": "density", "name": "one_minus_cos", "gird": 99}, "measure.gird: unknown key"),
         (
-            {"variant": "arc_density", "name": "uniform", "arc": [0.0, 1.0], "panels": 0},
-            "measure.panels",
+            {"variant": "arc_density", "name": "uniform", "arc": [0.0, 1.0], "panels": 64},
+            "measure.panels: unknown key",
+        ),
+        ({"variant": "density", "name": "uniform", "arc": [0.0, 1.0]}, "measure.arc: unknown key"),
+        ({"variant": "lebesgue", "name": "uniform"}, "measure.name: unknown key"),
+        ({"variant": "atomic", "atoms": [[0.0, 1.0]], "weights": [1]}, "measure.weights: unknown"),
+        (
+            {
+                "variant": "mixture",
+                "components": [{"weight": 1, "wieght": 2, "measure": {"variant": "lebesgue"}}],
+            },
+            "measure.components[0].wieght: unknown key",
         ),
         (
-            {"variant": "arc_density", "name": "uniform", "arc": [0.0, 1.0], "panels": True},
-            "measure.panels",
+            mixture_of({"variant": "density", "name": "uniform", "grid": 64, "Grid": 8}),
+            "measure.components[0].measure.Grid: unknown key",
         ),
         ({"variant": "atomic", "atoms": []}, "measure.atoms"),
         ({"variant": "atomic", "atoms": [[0.0]]}, "measure.atoms[0]"),
@@ -314,13 +326,13 @@ def test_resolution_guard_near_singular_density():
 
 def test_resolution_error_names_the_degree():
     # on the half circle at n = 60 the drift comes from the extraction's
-    # conditioning: the doubled panel count drifts more than the default
-    spec = ArcDensity(name="uniform", arc=(0.0, np.pi), panels=244)
+    # conditioning, not from an under-resolved density
+    spec = ArcDensity(name="uniform", arc=(0.0, np.pi))
     with pytest.raises(IntegrationResolution) as exc:
         schur_from_measure(spec, 60)
-    assert exc.value.detail["index"] == 49
+    assert exc.value.detail["index"] == 48
     assert exc.value.detail["drift"] > 4.4e-9
-    assert "first at index 49" in str(exc.value)
+    assert "first at index 48" in str(exc.value)
     assert "only when the density is under-resolved" in str(exc.value)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,18 @@ def test_rule_from_sof_odd_member_appends_anchor():
     assert np.any(np.abs(rule.node_angles - odd.anchor_angle) < 1e-12)
 
 
+def test_rule_from_sof_refuses_an_index_its_rule_nodes_do_not_fit():
+    # an order-n rule takes n zeros, or n - 1 zeros and the anchor
+    table, m = lebesgue_setup(6)
+    seq = f_sequence(table, 1.0, 4)
+    # a ladder member that carries its rule, one that takes the anchor, a family member
+    member = sof_f1(table, 3, 1.0)
+    for inst in (replace(seq[3], index=2), replace(seq[2], index=5), replace(member, index=5)):
+        message = f"instance with {len(inst.zeros)} zeros cannot drive an order-{inst.index} rule"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rule_from_sof(table, m, inst)
+
+
 def _ladder_case(kind, cap, N, rng):
     angles = 2 * np.pi * rng.random(3)
     if kind == "real":
@@ -420,6 +433,20 @@ def test_make_rule_refuses_another_measures_table():
     own = make_rule(a, m, make_pop(a, 4, 1, 1))
     ref = (own.node_angles, own.weights, own.exactness_residual)
     assert_rule_bytes(make_rule(same, m, make_pop(a, 4, 1, 1)), ref)
+
+
+@pytest.mark.parametrize("omega0", [-2.0, 1.3, -np.pi])
+@pytest.mark.parametrize("n", [5, HERMITIAN_MAX_ORDER, HERMITIAN_MAX_ORDER + 1, 80])
+def test_make_rule_equals_the_per_pop_formula_bit_for_bit(rng, n, omega0):
+    # the pop's zeros folded into the window and sorted, weighed by 1 / K_{n-1}
+    # from a recurrence sweep to that one degree, on both zero-solver branches
+    schur = random_schur(rng, n)
+    table, m = build_opuc(schur, n), moments_from_schur(schur, n)
+    pop = make_pop(table, n, np.exp(0.7j), 1.0)
+    angles = np.sort(fold_angle(pop_zeros(pop, omega0), omega0))
+    weights = 1.0 / szego_values(table, n - 1, np.exp(1j * angles))[2]
+    ref = (angles, weights, _exactness_residual(m, angles, weights, n))
+    assert_rule_bytes(make_rule(table, m, pop, omega0), ref)
 
 
 # ---------------------------------------------------------------------------

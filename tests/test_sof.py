@@ -503,6 +503,22 @@ def test_f_sequence_odd_members_recover_first_kind(rng):
         assert np.allclose(aug, ref, atol=1e-9)
 
 
+def test_rule_nodes_take_the_anchor_back_for_f1_and_odd_members(rng):
+    # F_1 and the odd ladder members belong to |z - w|^2 d(mu) and take the
+    # anchor back as a rule node; the even members and family members do not
+    table = build_opuc(random_schur(rng, 6, cap=0.5), 6)
+    w = np.exp(0.7j)
+    seq = f_sequence(table, w, 6, -2.0)
+    anchor = seq[0].anchor_angle
+    assert seq[0].rule_nodes.tolist() == [anchor]
+    for inst in seq[1:]:
+        want = np.append(inst.zeros, anchor) if inst.index % 2 else inst.zeros
+        assert len(want) == inst.index
+        assert inst.rule_nodes.tobytes() == want.tobytes()
+    for inst in sof_members(table, SofFamilySpec.combo(1.0, 0.5, w), range(1, 7)):
+        assert inst.rule_nodes.tobytes() == inst.zeros.tobytes()
+
+
 def test_f_sequence_odd_numerator_orthogonal_for_modified_measure(rng):
     schur = random_schur(rng, 6, cap=0.5)
     table = build_opuc(schur, 6)
