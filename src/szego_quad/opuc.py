@@ -14,9 +14,12 @@ Values and kernel diagonals K_n(z, z) come from the normalized recurrence,
 zeros and moments from the CMV matrix (cmv_matrix).  szego_sweep yields
 every degree of one recurrence run and szego_values is its last step, so a
 family anchored at w takes all its degrees from one sweep at w, and one
-kernel_diag sweep reads each point at its own degree.  The sequence is the
-table: build_opuc takes a prefix, which forms its own rho and e, and the
-monic Phi_n and Phi_n* are built on first read, for output and test oracles.
+kernel_diag sweep reads each point at its own degree.  _two_sided_sweep
+splices that forward sweep with a backward one from a rule's boundary, for
+kernels and zero mismatches that keep their relative accuracy at any order.
+The sequence is the table: build_opuc takes a prefix, which forms its own
+rho and e, and the monic Phi_n and Phi_n* are built on first read, for
+output and test oracles.
 """
 
 from __future__ import annotations
@@ -200,3 +203,46 @@ def kernel_diag(table: SchurSequence, n, z):
             at = ns == k
             out[at] = acc[at]
     return float(out) if zs.ndim == 0 else out
+
+
+def _two_sided_sweep(schur: SchurSequence, n: int, z, lam):
+    """K_{n-1}(z, z), the phase mismatch d and |phi_s(z)|^2 at the splice s, for
+    the order-n rule whose nodes solve z phi_{n-1} + lam phi_{n-1}* = 0, |lam| = 1.
+
+    The backward pass starts from the boundary pair (-lam, z) at degree n - 1
+    and inverts the recurrence, phi_k = (phi_{k+1} - a phi_{k+1}*) / (rho z) and
+    phi_k* = (phi_{k+1}* - conj(a) phi_{k+1}) / rho, renormalized at each step;
+    per degree it keeps the angle of phi_k / phi_k* and the tail sum
+    sum_{j>=k} |phi_j|^2 / |phi_k|^2.  The forward pass, szego_sweep from phi_0
+    = 1, compares its own angle with it at each degree.  Each pass is stable
+    where it climbs towards the peak of |phi_k|, so the splice is the degree
+    where the unimodular ratios phi / phi* of the two passes differ least, d
+    = their phase difference there, and K sums the forward part up to s and
+    the backward tail scaled to match it (twisted factorizations, Fernando,
+    SIMAX 18, 1997).  At a zero d is 0; near one d = (theta - theta_0) K /
+    |phi_s|^2, so theta - d |phi_s|^2 / K is a Newton step.  Keeps 16 bytes
+    per point and degree.
+    """
+    z = np.asarray(z, dtype=complex)
+    psi, tail = np.empty((2, n) + z.shape)
+    b = -np.broadcast_to(np.asarray(lam, dtype=complex), z.shape)
+    bs, zc = z, np.conj(z)
+    tail[n - 1] = 1.0
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            a, rho = schur.coefficients[k], schur.rho[k]
+            b, bs = (b - a * bs) * zc, bs - np.conj(a) * b
+            scale = np.abs(b)
+            b, bs = b / scale, bs / scale
+            tail[k] = 1.0 + tail[k + 1] * (rho / scale) ** 2
+        psi[k] = np.angle(b * np.conj(bs))
+    least = np.full(z.shape, np.inf)
+    K = d = mod2 = least
+    for k, (p, s, acc) in enumerate(szego_sweep(schur, n - 1, z)):
+        dk = np.remainder(np.angle(p * np.conj(s)) - psi[k] + np.pi, 2 * np.pi) - np.pi
+        closer = np.abs(dk) < least
+        least = np.where(closer, np.abs(dk), least)
+        m2 = np.abs(p) ** 2
+        K = np.where(closer, acc + m2 * (tail[k] - 1.0), K)
+        d, mod2 = np.where(closer, dk, d), np.where(closer, m2, mod2)
+    return K, d, mod2

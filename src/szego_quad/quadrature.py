@@ -14,12 +14,16 @@ recomputes them independently, one Vandermonde solve on nodes and moments.
 Orders up to HERMITIAN_MAX_ORDER = 64, where the family paths solve one
 eigenproblem per degree, take the zeros from eigh of the Hermitian part of
 the CMV matrix: 0.15 ms per solve against 0.48 ms for eigvals at n = 32 and
-0.71 against 2.07 ms at n = 64 (one OpenBLAS thread, 2-core x86-64).  Larger
-orders keep eigvals, bit for bit: there the Hermitian path needs 4.8 MB more
-peak memory against 0.3 MB, and the n = 256 kernel weights flip with
-last-bit node changes.  The eigvals branch goes once the weights carry
-relative accuracy and the benchmark's peak memory stops growing with its
-attempt count.
+0.71 against 2.07 ms at n = 64 (one OpenBLAS thread, 2-core x86-64), and
+their weights from one batched forward kernel_diag sweep.  Larger orders
+take only the cosines, from eigvalsh of C + C^H, each sine's sign and one
+Newton step from a two-sided recurrence sweep that splices a forward and a
+backward pass where they agree best (opuc._two_sided_sweep), and the
+weights from the same sweep at the final nodes (_spliced_weights).  At
+n = 256 the zeros take 30 ms against 82 ms for eigvals, with no
+eigenvectors and no dense matrix past the eigensolve, and the weights
+25 ms against 2.5 ms for the forward sum, which loses their relative
+accuracy: past the peak of |phi_k| it picks up the growing solution.
 """
 
 from __future__ import annotations
@@ -28,22 +32,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import TWO_PI, fold_angle
+from .circle import TWO_PI, circular_distance, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch, checked_int
 from .measures import MomentTable
-from .opuc import SchurSequence, cmv_matrix, kernel_diag
+from .opuc import SchurSequence, _two_sided_sweep, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
 ANGLE_TOL = 2e-14
-# The largest order whose zeros come from the Hermitian part of the CMV
-# matrix.  Extra peak memory of one solve (fresh process, ru_maxrss): 0.8 MB
-# against 0.1 MB for eigvals at n = 64, 4.8 MB against 0.3 MB at n = 256,
-# where the benchmark's memory bound would charge it; and above 64 the
-# last-bit node changes would move the n = 256 kernel weights.  Once the
-# weights carry relative accuracy and the benchmark's peak memory no longer
-# grows with its attempt count, the eigvals branch is deleted.
+# The largest order whose zeros come from eigh of the Hermitian part of the
+# CMV matrix with Rayleigh quotients, and whose weights from one batched
+# forward kernel_diag sweep: the family paths solve one eigenproblem per
+# degree, and a ladder weighs all its rules at once.  Larger orders take the
+# cosines from eigvalsh alone, each sine's sign and a Newton step from one
+# two-sided sweep, and the weights from another at the final nodes.
 HERMITIAN_MAX_ORDER = 64
 CLUSTER_GAP = 1e-6
+# two zeros of one run of equal cosines closer than this are one zero
+_SAME_ZERO = 1e-12
 _BASE_SNAP = 1e-9
 _FIRST_GRID = 16
 _MAX_GRID = 1024
@@ -155,14 +160,12 @@ def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
 
 
 def _cmv_eigenvalues(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a unitary matrix; up to HERMITIAN_MAX_ORDER through its Hermitian part.
+    """Eigenvalues of a unitary matrix of order up to HERMITIAN_MAX_ORDER, from its Hermitian part.
 
     H = C + C^H has the eigenvalues 2 cos(theta) and the eigenvectors of C, so
     each column v of eigh(H) gives an eigenvalue of C as the Rayleigh quotient v^H C v.
     A run of eigenvalues of H closer than CLUSTER_GAP (a conjugate pair shares
     one cosine) spans an invariant subspace of C, resolved by eigvals there."""
-    if len(C) > HERMITIAN_MAX_ORDER:
-        return np.linalg.eigvals(C)
     cosines, V = np.linalg.eigh(C + C.conj().T)
     CV = C @ V
     z = (V.conj() * CV).sum(axis=0)
@@ -174,17 +177,70 @@ def _cmv_eigenvalues(C: np.ndarray) -> np.ndarray:
     return z
 
 
+def _hermitian_eigenvalues(C: np.ndarray) -> np.ndarray:
+    """Eigenvalues 2 cos(theta) of C + C^H, ascending; a call of its own, so that C
+    is freed before _cosine_zeros allocates its sweep."""
+    return np.linalg.eigvalsh(C + C.conj().T)
+
+
+def _cosine_zeros(schur: SchurSequence, n: int, lam) -> np.ndarray:
+    """Angles of the eigenvalues of the order-n CMV matrix with boundary lam, from
+    the cosines of its Hermitian part and one two-sided sweep.
+
+    eigvalsh(C + C^H) gives 2 cos(theta); of the candidates +-arccos, the one
+    whose forward and backward recurrence passes agree better at their splice
+    is the zero (the other is no zero, and its passes do not align).  One
+    Newton step on the splice mismatch then removes the error of arccos, which
+    is ill-conditioned next to theta = 0 and pi.  A conjugate pair shares one
+    cosine and aligns at both signs, so a run of cosines closer than
+    CLUSTER_GAP takes the distinct zeros of least mismatch among its
+    candidates, each zero once (_one_per_zero)."""
+    cosines = _hermitian_eigenvalues(cmv_matrix(schur, n, lam))
+    theta = np.arccos(np.clip(0.5 * cosines, -1.0, 1.0))
+    candidates = np.concatenate((theta, -theta))
+    K, mismatch, mod2 = _two_sided_sweep(schur, n, np.exp(1j * candidates), lam)
+    zeros = candidates - mismatch * mod2 / K
+    misfit = np.abs(mismatch)
+    pick = np.where(misfit[n:] < misfit[:n], np.arange(n) + n, np.arange(n))
+    for run in np.split(np.arange(n), np.flatnonzero(np.diff(cosines) > CLUSTER_GAP) + 1):
+        if len(run) > 1:
+            pick[run] = _one_per_zero(zeros, misfit, np.concatenate((run, run + n)), len(run))
+    return zeros[pick]
+
+
+def _one_per_zero(zeros, misfit, candidates, count):
+    """count of the candidates, by least misfit, whose zeros lie further than
+    _SAME_ZERO from every one taken before; then the nearest others, if the run
+    holds fewer distinct zeros than cosines."""
+    order = candidates[np.argsort(misfit[candidates], kind="stable")]
+    taken = []
+    for c in order:
+        if np.all(circular_distance(zeros[c], zeros[taken]) > _SAME_ZERO):
+            taken.append(c)
+    return (taken + [c for c in order if c not in taken])[:count]
+
+
+def pop_boundary(schur: SchurSequence, n: int, t) -> complex:
+    """lam = (a_n + t) / (1 + conj(a_n) t): Phi_n + t Phi_n* = (1 + conj(a_n) t) (z Phi_{n-1}
+    + lam Phi_{n-1}*), so its zeros are those of the CMV matrix closed by lam."""
+    a_n = schur.coefficients[n - 1]
+    return complex((a_n + t) / (1.0 + np.conj(a_n) * t))
+
+
 def invariant_zeros(schur: SchurSequence, n: int, t, omega0=0.0) -> np.ndarray:
     """Sorted angles in [omega0, omega0 + 2 pi) of the n zeros of Phi_n + t Phi_n*, |t| = 1.
 
-    Phi_n + t Phi_n* = (1 + conj(a_n) t) (z Phi_{n-1} + lam Phi_{n-1}*), so they are the
-    eigenvalues of cmv_matrix(schur, n, lam), lam = (a_n + t) / (1 + conj(a_n) t).  A
-    root within 1e-9 of the upper window edge is folded onto omega0."""
+    They are the eigenvalues of cmv_matrix(schur, n, lam), lam = pop_boundary(schur,
+    n, t): up to HERMITIAN_MAX_ORDER by _cmv_eigenvalues, above it by _cosine_zeros.
+    A root within 1e-9 of the upper window edge is folded onto omega0."""
     if n == 0:
         return np.empty(0, dtype=float)
-    a_n = schur.coefficients[n - 1]
-    lam = (a_n + t) / (1.0 + np.conj(a_n) * t)
-    roots = fold_angle(np.angle(_cmv_eigenvalues(cmv_matrix(schur, n, lam))), omega0)
+    lam = pop_boundary(schur, n, t)
+    if n <= HERMITIAN_MAX_ORDER:
+        angles = np.angle(_cmv_eigenvalues(cmv_matrix(schur, n, lam)))
+    else:
+        angles = _cosine_zeros(schur, n, lam)
+    roots = fold_angle(angles, omega0)
     return np.sort(np.where((omega0 + TWO_PI) - roots < _BASE_SNAP, omega0, roots))
 
 
@@ -228,14 +284,39 @@ def _exactness_residual(m: MomentTable, angles, weights, order):
 
 def member_rule_parts(table: SchurSequence, node_sets, omega0):
     """(nodes, weights) of the Szego rule on each node set, the one path from
-    nodes to a rule.  A set of n node angles is folded into [omega0, omega0 +
-    2 pi) and sorted, and each node is weighed by H_k = 1 / K_{n-1}(z_k, z_k)
-    at its own set's n; one kernel_diag sweep weighs every node of every set,
-    bit-identical to a kernel_diag call per set."""
-    nodes = [np.sort(fold_angle(angles, omega0)) for angles in node_sets]
-    orders = np.array([len(angles) for angles in nodes])
-    K = kernel_diag(table, np.repeat(orders - 1, orders), np.exp(1j * np.concatenate(nodes)))
-    return list(zip(nodes, np.split(1.0 / K, np.cumsum(orders)[:-1])))
+    nodes to a rule.  node_sets holds pairs (angles, lam): the n node angles of
+    a rule and the boundary lam whose CMV matrix has them as eigenvalues (z
+    phi_{n-1} + lam phi_{n-1}* = 0 at every node).  The angles are folded into
+    [omega0, omega0 + 2 pi) and sorted, and each node is weighed by H_k = 1 /
+    K_{n-1}(z_k, z_k) at its own set's n.  One kernel_diag sweep weighs every
+    node of every set of order up to HERMITIAN_MAX_ORDER, bit-identical to a
+    kernel_diag call per set.  A larger set takes K from two-sided sweeps with
+    its lam (_spliced_weights): the forward sum alone picks up the solution
+    that grows past the peak of |phi_k(z_k)| and loses the weights' relative
+    accuracy."""
+    nodes = [np.sort(fold_angle(angles, omega0)) for angles, _ in node_sets]
+    small = [angles for angles in nodes if len(angles) <= HERMITIAN_MAX_ORDER]
+    orders = np.array([len(angles) for angles in small], dtype=int)
+    points = np.exp(1j * np.concatenate(small)) if small else np.empty(0, dtype=complex)
+    K = kernel_diag(table, np.repeat(orders - 1, orders), points)
+    small_weights = iter(np.split(1.0 / K, np.cumsum(orders)[:-1]))
+    weights = [
+        next(small_weights) if len(angles) <= HERMITIAN_MAX_ORDER
+        else _spliced_weights(table, angles, lam)
+        for angles, (_, lam) in zip(nodes, node_sets)
+    ]
+    return list(zip(nodes, weights))
+
+
+def _spliced_weights(table: SchurSequence, angles, lam):
+    """1 / K_{n-1} at the zeros that n node angles stand for, from two two-sided
+    sweeps.  A double angle lies up to half an ulp off its zero, and at a cap-0.9
+    order-256 rule K moves by 1.7e-10 per ulp there; the unit point one Newton
+    step on, z exp(-i d |phi_s|^2 / K), lies closer than any double angle, and
+    the second sweep weighs that point."""
+    n, z = len(angles), np.exp(1j * angles)
+    K, mismatch, mod2 = _two_sided_sweep(table, n, z, lam)
+    return 1.0 / _two_sided_sweep(table, n, z * np.exp(-1j * mismatch * mod2 / K), lam)[0]
 
 
 def _kernel_rule(m: MomentTable, angles, weights, omega0, source):
@@ -266,7 +347,8 @@ def make_rule(table: SchurSequence, m: MomentTable, pop: InvariantPop, omega0=0.
     """
     _check_member_table(table, pop.table, pop.order - 1)
     src = f"pop(n={pop.order}, alpha={pop.alpha:.6g}, beta={pop.beta:.6g})"
-    ((angles, weights),) = member_rule_parts(table, [pop_zeros(pop, omega0)], omega0)
+    lam = pop_boundary(pop.table, pop.order, pop.beta / pop.alpha)
+    ((angles, weights),) = member_rule_parts(table, [(pop_zeros(pop, omega0), lam)], omega0)
     return _kernel_rule(m, angles, weights, omega0, src)
 
 
@@ -290,7 +372,7 @@ def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> Qu
     if inst.rule_weights is not None and omega0 == inst.omega0:
         angles, weights = inst.rule_angles, inst.rule_weights
     else:
-        ((angles, weights),) = member_rule_parts(table, [nodes], omega0)
+        ((angles, weights),) = member_rule_parts(table, [(nodes, inst.rule_boundary)], omega0)
     return _kernel_rule(m, angles, weights, omega0, src)
 
 

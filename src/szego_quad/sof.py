@@ -26,9 +26,9 @@ Omega_n(w) both come from the normalized recurrence (Omega_n is Phi_n of the
 sign-flipped Schur sequence), not from a monic table, and the zeros are CMV
 eigenvalues (invariant_zeros).  sof_combo is its one-degree call.  The
 alternating ladder f_sequence hands the rule nodes of all its members
-(SofInstance.rule_nodes) to one quadrature.member_rule_parts call, one
-kernel_diag sweep for all of them, so its rules cost no further recurrence
-runs.  Values
+(SofInstance.rule_nodes) with their boundaries (SofInstance.rule_boundary)
+to one quadrature.member_rule_parts call, one kernel_diag sweep for all of
+them up to order 64, so its rules cost no further recurrence runs.  Values
 use the same recurrence, phi_n = Phi_n / sqrt(e_n): f_n = 2 sqrt(e_n) Im u
 with u = conj(alpha_n) phi_n(z) e^{-i n theta / 2}, and at a zero the
 Christoffel-Darboux limit f_n' = sqrt(e_n) u K_{n-1}(z, z) / |phi_n(z)|^2;
@@ -47,7 +47,7 @@ from .circle import circular_distance, fold_angle, half_power
 from .errors import OffCircle, PhaseLeak, ZeroCoefficient, checked_int
 from .opuc import CIRCLE_TOL, SchurSequence, szego_sweep, szego_values
 from .poly import ComplexPolynomial
-from .quadrature import invariant_zeros, member_rule_parts
+from .quadrature import invariant_zeros, member_rule_parts, pop_boundary
 
 _ANCHOR_TOL = 1e-9
 
@@ -162,6 +162,14 @@ class SofInstance:
         if len(self.zeros) == self.index - 1:
             return np.append(self.zeros, self.anchor_angle)
         return self.zeros
+
+    @property
+    def rule_boundary(self) -> complex:
+        """lam with z phi_{index-1} + lam phi_{index-1}* = 0 at every rule node:
+        pop_boundary at t = -alpha / conj(alpha) of degree index, and -w for F_1."""
+        if self.alpha is None:
+            return -self.w
+        return pop_boundary(self.table, self.index, -self.alpha / np.conj(self.alpha))
 
     @property
     def numerator(self) -> ComplexPolynomial:
@@ -332,7 +340,7 @@ def f_sequence(table: SchurSequence, w_seq, count: int, omega0=0.0) -> list[SofI
             drop = int(np.argmin(circular_distance(inst.zeros, inst.anchor_angle)))
             inst = replace(inst, n=idx - 1, zeros=np.delete(inst.zeros, drop))
         members.append(inst)
-    rules = member_rule_parts(table, [inst.rule_nodes for inst in members], omega0)
+    rules = member_rule_parts(table, [(i.rule_nodes, i.rule_boundary) for i in members], omega0)
     out = []
     for idx, (inst, (angles, weights)) in enumerate(zip(members, rules), start=1):
         angles.flags.writeable = weights.flags.writeable = False

@@ -1,8 +1,9 @@
 """High-precision reference for the Szego recurrence, checked against itself.
 
-Three functions serve every test that needs more than double precision:
+Four functions serve every test that needs more than double precision:
 ``szego`` (monic Phi_n, Phi_n* and their derivatives at a point),
-``zeros`` (Newton-polished zeros of Phi_n + t Phi_n*) and
+``zeros`` (Newton-polished zeros of Phi_n + t Phi_n*), ``rule`` (those
+zeros with the kernel weights 1 / K_{n-1}(z, z) summed at them) and
 ``levinson_moments`` (moments by the inverse Levinson recurrence).
 
 They compute in binary fixed point: a complex number is a pair of Python
@@ -11,7 +12,8 @@ once to the scale.  Double inputs are taken exactly, up to that truncation.
 
 Precision rule: a result computed at ``bits`` is accepted only when a run at
 2 * bits agrees with it, for each output array, to 10**-MARGIN_DIGITS (1e-20)
-of that array's largest entry: eight orders below the tightest tolerance a
+of that array's largest entry (of each entry, for ``rule``, whose weights
+span dozens of orders): eight orders below the tightest tolerance a
 test holds a reference to (1e-12).  Otherwise the precision doubles and the
 comparison repeats, up to MAX_BITS, past which the reference raises rather
 than return an unchecked result.  Each function returns its result with the
@@ -103,21 +105,23 @@ class _Fixed:
         return np.array([complex(r / scale, i / scale) for r, i in zip(self.re, self.im)])
 
 
-def _agree(lo, hi):
-    """Whether the run at bits (lo) matches the run at 2 bits (hi) to the margin."""
+def _agree(lo, hi, entrywise=False):
+    """Whether the run at bits (lo) matches the run at 2 bits (hi) to the margin,
+    of the largest entry or, entrywise, of each entry."""
     shift = hi.bits - lo.bits
-    diff = (hi - _Fixed(lo.re << shift, lo.im << shift, hi.bits)).largest()
-    return diff * 10**MARGIN_DIGITS <= hi.largest()
+    diff = hi - _Fixed(lo.re << shift, lo.im << shift, hi.bits)
+    pairs = zip(diff.entries(), hi.entries()) if entrywise else [(diff, hi)]
+    return all(d.largest() * 10**MARGIN_DIGITS <= h.largest() for d, h in pairs)
 
 
-def _checked(compute):
+def _checked(compute, entrywise=False):
     """compute(bits), a list of _Fixed arrays, accepted at the first precision
     from START_BITS that a run at twice it confirms; returns (arrays, bits)."""
     bits = START_BITS
     lo = compute(bits)
     while 2 * bits <= MAX_BITS:
         hi = compute(2 * bits)
-        if all(_agree(x, y) for x, y in zip(lo, hi)):
+        if all(_agree(x, y, entrywise) for x, y in zip(lo, hi)):
             return lo, bits
         lo, bits = hi, 2 * bits
     raise ArithmeticError(f"no two runs up to {MAX_BITS} bits agree to 1e-{MARGIN_DIGITS}")
@@ -151,6 +155,17 @@ def szego(coeffs, z, sign=1):
     return np.concatenate([v.complex() for v in values]), bits
 
 
+def _polish(a, lam, z):
+    """Newton on the circle for the zeros of Phi_n + lam Phi_n*, from the unit points z."""
+    for _ in range(_NEWTON_STEPS):
+        p, s, dp, ds = _sweep(a, z)
+        step = (p + lam * s) / (dp + lam * ds)
+        z = (z - step).unit()
+        if step.largest() >> (z.bits // 2) == 0:
+            break
+    return z
+
+
 def zeros(coeffs, t, angles):
     """Zeros of Phi_n + t Phi_n*, n = len(coeffs), by Newton on the circle from
     the given angles, t taken as t / |t|.  Returns (angles in [0, 2 pi],
@@ -159,18 +174,37 @@ def zeros(coeffs, t, angles):
 
     def compute(bits):
         a = _Fixed.of(coeffs, bits).entries()
-        lam = _Fixed.of(t, bits).unit()
-        z = _Fixed.of(starts, bits).unit()
-        for _ in range(_NEWTON_STEPS):
-            p, s, dp, ds = _sweep(a, z)
-            step = (p + lam * s) / (dp + lam * ds)
-            z = (z - step).unit()
-            if step.largest() >> (bits // 2) == 0:
-                break
-        return [z]
+        return [_polish(a, _Fixed.of(t, bits).unit(), _Fixed.of(starts, bits).unit())]
 
     (z,), bits = _checked(compute)
     return np.angle(z.complex()) % (2 * np.pi), bits
+
+
+def rule(coeffs, t, angles):
+    """The zeros of zeros(coeffs, t, angles) and the weights 1 / K_{n-1}(z, z) =
+    1 / sum_{k<n} |Phi_k(z)|^2 / e_k summed at them in the same precision: in
+    double precision a zero is off by an ulp, and there the sum picks up the
+    solution that grows past the peak of |Phi_k|.  Each weight is checked to
+    1e-20 of itself.  Returns (angles in [0, 2 pi], weights, accepted bits)."""
+    starts = np.exp(1j * np.asarray(angles, dtype=float))
+
+    def compute(bits):
+        a = _Fixed.of(coeffs, bits).entries()
+        z = _polish(a, _Fixed.of(t, bits).unit(), _Fixed.of(starts, bits).unit())
+        one = 1 << bits
+        p = s = _Fixed.of(np.ones(len(starts)), bits)
+        kernel, e = p.re, one
+        for ak in a[:-1]:
+            zp = z * p
+            p, s = zp + ak * s, s + ak.conj() * zp
+            # an e_k below the precision floor makes this run disagree with the next
+            e = max(1, (e * (one - ((ak.re[0] ** 2 + ak.im[0] ** 2) >> bits))) >> bits)
+            kernel = kernel + ((p.re * p.re + p.im * p.im) // e)
+        weights = (one << bits) // kernel
+        return [z, _Fixed(weights, 0 * weights, bits)]
+
+    (z, w), bits = _checked(compute, entrywise=True)
+    return np.angle(z.complex()) % (2 * np.pi), w.complex().real, bits
 
 
 def levinson_moments(coeffs):

@@ -18,39 +18,31 @@ from szego_quad import (
     SofFamilySpec,
     build_opuc,
     interlace_check,
-    kernel_diag,
     schur_from_measure,
     sof_members,
 )
+from szego_quad.quadrature import member_rule_parts, pop_boundary
 
 from conftest import fixed_rule_schur, pop_rule
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 3: n = 256 kernel weights lack relative accuracy "
-    "(stamped residual 0.998 at cap 0.9, 7.5e-7 at cap 0.6)",
-)
 @pytest.mark.parametrize("cap, stream", [(0.9, 1), (0.6, 1)])
 def test_n256_rule_is_exact_on_its_window(cap, stream):
+    # the forward kernel weights stamped 0.998 at cap 0.9 and 7.5e-7 at cap 0.6
     rule = pop_rule(fixed_rule_schur(stream, cap), 256)
     assert rule.exactness_residual <= 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 3: a one-ulp shift of every node moves the n = 256 kernel weights "
-    "by 3.5e-4 relative at cap 0.6 (9.3 at cap 0.9)",
-)
 def test_n256_weights_absorb_a_one_ulp_node_shift():
-    # why the cap-0.6 stream-3 rule passes 1e-9 exactness with one BLAS thread
-    # (residual 6.5e-10) and fails it with two (5.0e-9): the last node bits
+    # the forward kernel moved these weights by 3.5e-4 relative (9.3 at cap
+    # 0.9), so the last node bits decided whether the cap-0.6 stream-3 rule
+    # passed 1e-9 exactness (6.5e-10 with one BLAS thread, 5.0e-9 with two)
     schur = fixed_rule_schur(1, 0.6)
+    table = build_opuc(schur, 256)
     rule = pop_rule(schur, 256)
-    shifted = np.exp(1j * np.nextafter(rule.node_angles, np.inf))
-    weights = 1.0 / kernel_diag(build_opuc(schur, 256), 255, shifted)
+    shifted = (np.nextafter(rule.node_angles, np.inf), pop_boundary(table, 256, 1.0))
+    ((angles, weights),) = member_rule_parts(table, [shifted], 0.0)
+    assert np.array_equal(angles, shifted[0])
     assert np.max(np.abs(weights / rule.weights - 1.0)) <= 1e-8
 
 

@@ -35,6 +35,14 @@ def test_only_the_reference_imports_mpmath():
     assert not importers
 
 
+FIFTH_ROOTS = (2 * np.arange(5) + 1) * np.pi / 5
+
+
+def rule_of_z5_plus_1():
+    angles, weights, bits = mp_reference.rule(np.zeros(5), 1.0, FIFTH_ROOTS + 0.01)
+    return np.concatenate((angles, weights)), bits
+
+
 # each function on a small input with a closed form or a double-precision twin
 CASES = {
     "szego": (
@@ -43,9 +51,11 @@ CASES = {
     ),
     # Phi_5 = z^5 and Phi_5* = 1: the zeros of z^5 + 1, from starts 0.01 off
     "zeros": (
-        lambda: mp_reference.zeros(np.zeros(5), 1.0, (2 * np.arange(5) + 1) * np.pi / 5 + 0.01),
-        (2 * np.arange(5) + 1) * np.pi / 5,
+        lambda: mp_reference.zeros(np.zeros(5), 1.0, FIFTH_ROOTS + 0.01),
+        FIFTH_ROOTS,
     ),
+    # the same zeros, where every |Phi_k| = e_k = 1: K_4 = 5, weights 1/5
+    "rule": (rule_of_z5_plus_1, np.concatenate((FIFTH_ROOTS, np.full(5, 0.2)))),
     "levinson_moments": (
         lambda: mp_reference.levinson_moments(COEFFS),
         moments_from_schur(SchurSequence(COEFFS), 3).c,

@@ -35,13 +35,15 @@ from szego_quad import (
     schur_from_measure,
 )
 from szego_quad.circle import fold_angle
-from szego_quad.opuc import cmv_matrix, szego_values
+from szego_quad.opuc import _two_sided_sweep, cmv_matrix, szego_values
 from szego_quad.quadrature import (
     CLUSTER_GAP,
     HERMITIAN_MAX_ORDER,
     TEST_FUNCTIONS,
     _exactness_residual,
+    _spliced_weights,
     invariant_zeros,
+    pop_boundary,
     pop_zeros,
     resolve_test_function,
 )
@@ -210,6 +212,62 @@ def test_hermitian_zeros_resolve_the_atom_and_its_mirror():
     assert hermitian_cluster(want)
     for t in (1.0, -1.0, 1j):
         assert_matches_eigvals(schur, n, t)
+
+
+# ---------------------------------------------------------------------------
+# above HERMITIAN_MAX_ORDER: eigvalsh cosines, each sign from the splice mismatch
+
+
+def real_schur(cap, n):
+    """Real Schur coefficients in (-cap, cap): with a real t the zeros are closed
+    under conjugation, so every zero off the real axis shares its cosine."""
+    return SchurSequence(np.random.default_rng([n, round(100 * cap)]).uniform(-cap, cap, n))
+
+
+def sign_mismatches(schur, n, t):
+    """|d| at the splice for +arccos and -arccos of every cosine of the CMV matrix."""
+    lam = pop_boundary(schur, n, t)
+    C = cmv_matrix(schur, n, lam)
+    theta = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(C + C.conj().T), -1.0, 1.0))
+    _, d, _ = _two_sided_sweep(schur, n, np.exp(1j * np.concatenate((theta, -theta))), lam)
+    return np.abs(d).reshape(2, n)
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0, np.exp(0.7j)])
+@pytest.mark.parametrize("n", [65, 100, 256])
+@pytest.mark.parametrize("cap", [0.6, 0.9])
+def test_cosine_zeros_take_each_conjugate_pair_once(cap, n, t):
+    # picking each sign by the smaller mismatch alone returned 50 distinct
+    # nodes of 100 here: both members of a pair chose the same sign
+    schur = real_schur(cap, n)
+    got = invariant_zeros(schur, n, t)
+    assert len(got) == n
+    assert np.min(np.diff(got)) > 1e-8
+    polished, _ = mp_reference.zeros(schur.coefficients, t, got)
+    assert np.max(circular_distance(got, polished)) < 1e-13
+    if t in (1.0, -1.0):
+        mirror = circular_distance(got[:, None], -got[None, :])
+        assert np.max(np.min(mirror, axis=1)) < 1e-13
+
+
+@pytest.mark.parametrize("stream", range(4))
+@pytest.mark.parametrize("cap", [0.6, 0.9])
+def test_the_wrong_sign_misaligns_by_three_orders(cap, stream):
+    # complex Schur coefficients: one sign of each cosine is a zero, and its
+    # splice mismatch is at least 1e3 below the other's (4.4e9 at the least)
+    mis = sign_mismatches(fixed_rule_schur(stream, cap), 256, 1.0)
+    assert np.all(np.max(mis, axis=0) >= 1e3 * np.min(mis, axis=0))
+
+
+def test_cap09_n256_weights_match_the_kernel_at_polished_zeros():
+    # the forward kernel was off by 1.0 relative here; at the double nodes
+    # a kernel moves by 1.7e-10 per ulp, so the reference sums it at the
+    # zeros polished in its own precision
+    schur = fixed_rule_schur(1, 0.9)
+    rule = pop_rule(schur, 256)
+    angles, weights, _ = mp_reference.rule(schur.coefficients, 1.0, rule.node_angles)
+    assert np.max(circular_distance(rule.node_angles, angles)) < 1e-14
+    assert np.max(np.abs(rule.weights / weights - 1.0)) < 1e-11
 
 
 def test_circle_zero_count_guard():
@@ -439,12 +497,16 @@ def test_make_rule_refuses_another_measures_table():
 @pytest.mark.parametrize("n", [5, HERMITIAN_MAX_ORDER, HERMITIAN_MAX_ORDER + 1, 80])
 def test_make_rule_equals_the_per_pop_formula_bit_for_bit(rng, n, omega0):
     # the pop's zeros folded into the window and sorted, weighed by 1 / K_{n-1}
-    # from a recurrence sweep to that one degree, on both zero-solver branches
+    # from a recurrence sweep to that one degree up to HERMITIAN_MAX_ORDER and
+    # from the spliced sweeps with the pop's lam above it
     schur = random_schur(rng, n)
     table, m = build_opuc(schur, n), moments_from_schur(schur, n)
     pop = make_pop(table, n, np.exp(0.7j), 1.0)
     angles = np.sort(fold_angle(pop_zeros(pop, omega0), omega0))
-    weights = 1.0 / szego_values(table, n - 1, np.exp(1j * angles))[2]
+    if n <= HERMITIAN_MAX_ORDER:
+        weights = 1.0 / szego_values(table, n - 1, np.exp(1j * angles))[2]
+    else:
+        weights = _spliced_weights(table, angles, pop_boundary(table, n, pop.beta / pop.alpha))
     ref = (angles, weights, _exactness_residual(m, angles, weights, n))
     assert_rule_bytes(make_rule(table, m, pop, omega0), ref)
 
@@ -474,18 +536,20 @@ def test_cap09_moments_match_mpmath_levinson():
 
 
 # sha256 of the node angles of n = 256 rules on three of the benchmark's fixed
-# sequences (x86-64, numpy 2.4, OpenBLAS 0.3.31: the nodes are LAPACK
+# sequences (x86-64, numpy 2.4, OpenBLAS 0.3.31: the cosines are LAPACK
 # eigenvalues, so another LAPACK may move their last bits).  Cap-0.6 streams 0
-# and 3 are the two passing rules nearest the 1e-9 exactness tolerance, and a
-# one-ulp change to their nodes costs their kernel weights that tolerance, so
-# the way the CMV matrix is formed stays pinned until the weights can absorb it
-# (ROADMAP item 3).  eigvals at n = 256 changes its last bits with the OpenBLAS
-# thread count, so the rules are computed in a child interpreter with one
+# and 3 were the two passing rules nearest the 1e-9 exactness tolerance when
+# the forward kernel weighed them; the spliced weights stamp 4.4e-14 and
+# 6.9e-14 and move by at most 1e-8 under a one-ulp node shift
+# (test_guarantees.py), and every node is within 1 ulp of mp_reference.zeros.
+# eigvalsh at n = 256 changes its last bits with the OpenBLAS thread count, and
+# the Newton-refined nodes keep some of that (all three digests differ under 1
+# and 2 threads), so the rules are computed in a child interpreter with one
 # thread, the benchmark's setting, whatever the count of the test process.
 NODE_DIGESTS = {
-    (0.6, 0): "9118e793483da9ad2282c01dd8062c87c66d4586cda0a54d7e0d1ae26a1408ac",
-    (0.6, 3): "49e2d4bb7a2eac7181add12d60946757b7661d586dc320747954d4f8d0ff084a",
-    (0.9, 1): "314a85db1247944e831bec9eb9ec2f86a6f760d5e2c91f1195e52dc95c35d2e6",
+    (0.6, 0): "89a3446b6c3a7ee9e45f6da0ed3a37837c3fc1df60ccb54b54fe6448ef28a73d",
+    (0.6, 3): "b757885d41e62d02f5cc16cc9877fd97afb1a883cb3b5442c36ca4d71be689a0",
+    (0.9, 1): "33d1550da5619f0ed8be3bb90f50eedf058f12296f62147ccfd154f27e327136",
 }
 _ONE_THREAD_DIGESTS = """
 import hashlib, json, sys

@@ -6,10 +6,11 @@ takes all its anchor values from one recurrence sweep per anchor.  It makes
 one pass over those zero sets: one epsilon-dilation per anchor and read
 degree, one for the balls of the isolated anchors, and no zero cloud.  An
 alternating ladder weighs the nodes of all its rules in one kernel sweep.
-The counters wrap the zero solver the families call, numpy's general
-eigensolver (which serves orders above quadrature.HERMITIAN_MAX_ORDER), the
-sweep the families call, the kernel diagonal the ladder and the rules call,
-and the dilation.
+The counters wrap the zero solver the families call, numpy's general and
+Hermitian eigenvalue solvers (a rule above quadrature.HERMITIAN_MAX_ORDER
+takes its zeros from the cosines of one Hermitian solve), the sweep the
+families call, the kernel diagonal the ladder and the rules call, and the
+dilation.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ from szego_quad import (
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"solves": 0, "eigvals": 0, "sweeps": 0, "kernels": 0, "dilations": 0}
+    tally = {"solves": 0, "eigvals": 0, "eigvalsh": 0, "sweeps": 0, "kernels": 0, "dilations": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -44,6 +45,7 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(sof, "invariant_zeros", counted(sof.invariant_zeros, "solves"))
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
     monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
     # kernel_diag runs its recurrence through the module's own szego_sweep
     monkeypatch.setattr(opuc, "szego_sweep", counted(opuc.szego_sweep, "kernels"))
@@ -100,9 +102,11 @@ def test_support_estimate_checks_epsilon_before_numerics(counts):
     assert counts["solves"] == counts["sweeps"] == 0
 
 
-def test_order_256_rule_makes_one_general_eigensolve(counts):
+def test_order_256_rule_makes_one_hermitian_eigensolve(counts):
+    # no CMV matrix above HERMITIAN_MAX_ORDER goes through the general solver
     schur = SchurSequence(0.6 * np.exp(0.7j * np.arange(256)))
     table = build_opuc(schur, 256)
     rule = make_rule(table, moments_from_schur(schur, 256), make_pop(table, 256, 1.0, 1.0))
     assert rule.order == 256
-    assert counts["eigvals"] == 1
+    assert counts["eigvalsh"] == 1
+    assert counts["eigvals"] == 0
