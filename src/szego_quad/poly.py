@@ -1,9 +1,11 @@
-"""Dense complex polynomial arithmetic."""
+"""Dense complex polynomial arithmetic.
+
+numpy.polynomial is imported inside the three methods that use it, which
+serve output and test oracles, so importing the package does not load it."""
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import checked_int
 
@@ -40,10 +42,14 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
+        from numpy.polynomial import polynomial as npoly
+
         return npoly.polyval(z, self.coeffs)
 
     def at_angle(self, theta):
         """Evaluate at exp(i*theta); theta may be an array."""
+        from numpy.polynomial import polynomial as npoly
+
         return npoly.polyval(np.exp(1j * np.asarray(theta, dtype=float)), self.coeffs)
 
     def padded(self, length):
@@ -64,6 +70,8 @@ class ComplexPolynomial:
         return ComplexPolynomial(np.conj(self.padded(d + 1))[::-1])
 
     def derivative(self):
+        from numpy.polynomial import polynomial as npoly
+
         return ComplexPolynomial(npoly.polyder(self.coeffs))
 
     def shifted(self, k):

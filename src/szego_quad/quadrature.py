@@ -16,14 +16,16 @@ eigenproblem per degree, take the zeros from eigh of the Hermitian part of
 the CMV matrix: 0.15 ms per solve against 0.48 ms for eigvals at n = 32 and
 0.71 against 2.07 ms at n = 64 (one OpenBLAS thread, 2-core x86-64), and
 their weights from one batched forward kernel_diag sweep.  Larger orders
-take only the cosines, from eigvalsh of C + C^H, each sine's sign and one
-Newton step from a two-sided recurrence sweep that splices a forward and a
-backward pass where they agree best (opuc._two_sided_sweep), and the
+take only the cosines, from eigvalsh of the lower triangle of C + C^H
+assembled from the 2 x 2 blocks of L and M (opuc.cmv_hermitian_lower, no
+dense L, M or C), each sine's sign and one Newton step from a two-sided
+recurrence sweep that splices a forward and a backward pass where they
+agree best (opuc._two_sided_sweep, 16 bytes per point and degree), and the
 weights from the same sweep at the final nodes (_spliced_weights).  At
-n = 256 the zeros take 30 ms against 82 ms for eigvals, with no
-eigenvectors and no dense matrix past the eigensolve, and the weights
-25 ms against 2.5 ms for the forward sum, which loses their relative
-accuracy: past the peak of |phi_k| it picks up the growing solution.
+n = 256 the zeros take 15 ms against 82 ms for eigvals, with no
+eigenvectors, and the weights 12 ms against 2.5 ms for the forward sum,
+which loses their relative accuracy: past the peak of |phi_k| it picks up
+the growing solution.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .circle import TWO_PI, circular_distance, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch, checked_int
 from .measures import MomentTable
-from .opuc import SchurSequence, _two_sided_sweep, cmv_matrix, kernel_diag
+from .opuc import SchurSequence, _two_sided_sweep, cmv_hermitian_lower, cmv_matrix, kernel_diag
 from .poly import ComplexPolynomial
 
 ANGLE_TOL = 2e-14
@@ -177,25 +179,20 @@ def _cmv_eigenvalues(C: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hermitian_eigenvalues(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues 2 cos(theta) of C + C^H, ascending; a call of its own, so that C
-    is freed before _cosine_zeros allocates its sweep."""
-    return np.linalg.eigvalsh(C + C.conj().T)
-
-
 def _cosine_zeros(schur: SchurSequence, n: int, lam) -> np.ndarray:
     """Angles of the eigenvalues of the order-n CMV matrix with boundary lam, from
     the cosines of its Hermitian part and one two-sided sweep.
 
-    eigvalsh(C + C^H) gives 2 cos(theta); of the candidates +-arccos, the one
-    whose forward and backward recurrence passes agree better at their splice
-    is the zero (the other is no zero, and its passes do not align).  One
-    Newton step on the splice mismatch then removes the error of arccos, which
-    is ill-conditioned next to theta = 0 and pi.  A conjugate pair shares one
-    cosine and aligns at both signs, so a run of cosines closer than
-    CLUSTER_GAP takes the distinct zeros of least mismatch among its
-    candidates, each zero once (_one_per_zero)."""
-    cosines = _hermitian_eigenvalues(cmv_matrix(schur, n, lam))
+    eigvalsh of C + C^H, its lower triangle assembled from the blocks of L
+    and M (cmv_hermitian_lower), gives 2 cos(theta); of the candidates
+    +-arccos, the one whose forward and backward recurrence passes agree
+    better at their splice is the zero (the other is no zero, and its passes
+    do not align).  One Newton step on the splice mismatch then removes the
+    error of arccos, which is ill-conditioned next to theta = 0 and pi.  A
+    conjugate pair shares one cosine and aligns at both signs, so a run of
+    cosines closer than CLUSTER_GAP takes the distinct zeros of least
+    mismatch among its candidates, each zero once (_one_per_zero)."""
+    cosines = np.linalg.eigvalsh(cmv_hermitian_lower(schur, n, lam))
     theta = np.arccos(np.clip(0.5 * cosines, -1.0, 1.0))
     candidates = np.concatenate((theta, -theta))
     K, mismatch, mod2 = _two_sided_sweep(schur, n, np.exp(1j * candidates), lam)

@@ -3,7 +3,8 @@
 The Gram-Schmidt oracle below rebuilds monic orthogonal polynomials by
 classical projection against the moment inner product, so recurrence-based
 results can be checked against something that never touches the package's
-own update formulas.
+own update formulas.  two_sided_reference keeps the first, plainly written
+form of the two-sided sweep as the reference for the in-place one.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from szego_quad import SchurSequence, build_opuc, make_pop, make_rule, moments_from_schur
 from szego_quad.circle import fold_angle
-from szego_quad.opuc import szego_values
+from szego_quad.opuc import szego_sweep, szego_values
 from szego_quad.quadrature import _exactness_residual
 
 
@@ -97,3 +98,33 @@ def assert_rule_bytes(rule, reference):
     assert rule.node_angles.tobytes() == angles.tobytes()
     assert rule.weights.tobytes() == weights.tobytes()
     assert np.float64(rule.exactness_residual).tobytes() == np.float64(residual).tobytes()
+
+
+def two_sided_reference(schur, n, z, lam):
+    """(K, d, |phi_s|^2) of opuc._two_sided_sweep, written plainly: the backward
+    pass keeps per degree the angle psi_k of phi_k / phi_k* and the tail-sum ratio
+    sum_{j>=k} |phi_j|^2 / |phi_k|^2 (16 bytes), and the forward szego_sweep takes
+    the degree of least |angle(phi_k / phi_k*) - psi_k|, folded into [-pi, pi)."""
+    z = np.asarray(z, dtype=complex)
+    psi, tail = np.empty((2, n) + z.shape)
+    b = -np.broadcast_to(np.asarray(lam, dtype=complex), z.shape)
+    bs, zc = z, np.conj(z)
+    tail[n - 1] = 1.0
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            a, rho = schur.coefficients[k], schur.rho[k]
+            b, bs = (b - a * bs) * zc, bs - np.conj(a) * b
+            scale = np.abs(b)
+            b, bs = b / scale, bs / scale
+            tail[k] = 1.0 + tail[k + 1] * (rho / scale) ** 2
+        psi[k] = np.angle(b * np.conj(bs))
+    least = np.full(z.shape, np.inf)
+    K = d = mod2 = least
+    for k, (p, s, acc) in enumerate(szego_sweep(schur, n - 1, z)):
+        dk = np.remainder(np.angle(p * np.conj(s)) - psi[k] + np.pi, 2 * np.pi) - np.pi
+        closer = np.abs(dk) < least
+        least = np.where(closer, np.abs(dk), least)
+        m2 = np.abs(p) ** 2
+        K = np.where(closer, acc + m2 * (tail[k] - 1.0), K)
+        d, mod2 = np.where(closer, dk, d), np.where(closer, m2, mod2)
+    return K, d, mod2

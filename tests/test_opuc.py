@@ -23,7 +23,7 @@ from szego_quad import (
     sof_members,
     zero_cloud,
 )
-from szego_quad.opuc import cmv_matrix, szego_sweep, szego_values
+from szego_quad.opuc import cmv_hermitian_lower, cmv_matrix, szego_sweep, szego_values
 
 from conftest import gram_schmidt_monic, poly_inner, random_schur
 
@@ -326,3 +326,17 @@ def test_cmv_matrix_unitary_with_characteristic_polynomial(rng):
         assert np.max(np.abs(c.conj().T @ c - np.eye(n))) < 1e-13
         target = t.phi[n - 1].shifted(1) + lam * t.phi_star[n - 1]
         assert np.max(np.abs(np.poly(c)[::-1] - target.padded(n + 1))) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, np.exp(0.7j)])
+@pytest.mark.parametrize("n", [65, 66, 129, 256])
+def test_cmv_hermitian_band_matches_the_matrix_product(rng, n, lam):
+    # odd and even n close the last block in L and in M; the matrix product
+    # rounds its diagonal with FMA, so the band is held to 2 ulp of the
+    # moduli summed into each entry, not to its bits
+    schur = random_schur(rng, n, cap=0.9)
+    C = cmv_matrix(schur, n, lam)
+    want = np.tril(C + C.conj().T)
+    got = cmv_hermitian_lower(schur, n, lam)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.tril(np.abs(C) + np.abs(C.conj().T))))
+    assert not np.triu(got, 1).any()

@@ -1,5 +1,10 @@
 """Dense polynomial and Laurent helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,3 +97,19 @@ def test_derivative():
 def test_shifted():
     p = ComplexPolynomial([1.0, 2.0])
     assert np.allclose(p.shifted(2).coeffs, [0, 0, 1.0, 2.0])
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # only the evaluation methods, which serve output and test oracles, import
+    # it; a fresh interpreter, since this one has loaded it for other tests
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, szego_quad.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

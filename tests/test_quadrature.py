@@ -49,7 +49,14 @@ from szego_quad.quadrature import (
 )
 
 import mp_reference
-from conftest import assert_rule_bytes, fixed_rule_schur, per_member_rule, pop_rule, random_schur
+from conftest import (
+    assert_rule_bytes,
+    fixed_rule_schur,
+    per_member_rule,
+    pop_rule,
+    random_schur,
+    two_sided_reference,
+)
 
 
 def lebesgue_setup(n):
@@ -224,12 +231,17 @@ def real_schur(cap, n):
     return SchurSequence(np.random.default_rng([n, round(100 * cap)]).uniform(-cap, cap, n))
 
 
-def sign_mismatches(schur, n, t):
-    """|d| at the splice for +arccos and -arccos of every cosine of the CMV matrix."""
+def cosine_candidates(schur, n, t):
+    """The points exp(+-i arccos) of every cosine of the dense CMV matrix, and its lam."""
     lam = pop_boundary(schur, n, t)
     C = cmv_matrix(schur, n, lam)
     theta = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(C + C.conj().T), -1.0, 1.0))
-    _, d, _ = _two_sided_sweep(schur, n, np.exp(1j * np.concatenate((theta, -theta))), lam)
+    return np.exp(1j * np.concatenate((theta, -theta))), lam
+
+
+def sign_mismatches(schur, n, t):
+    """|d| at the splice for +arccos and -arccos of every cosine of the CMV matrix."""
+    _, d, _ = _two_sided_sweep(schur, n, *cosine_candidates(schur, n, t))
     return np.abs(d).reshape(2, n)
 
 
@@ -257,6 +269,27 @@ def test_the_wrong_sign_misaligns_by_three_orders(cap, stream):
     # splice mismatch is at least 1e3 below the other's (4.4e9 at the least)
     mis = sign_mismatches(fixed_rule_schur(stream, cap), 256, 1.0)
     assert np.all(np.max(mis, axis=0) >= 1e3 * np.min(mis, axis=0))
+
+
+@pytest.mark.parametrize("stream", range(4))
+@pytest.mark.parametrize("cap", [0.6, 0.9])
+def test_in_place_sweep_matches_the_plain_reference(cap, stream):
+    # one complex product per degree in place of two stored angles and a fold.
+    # The forward values are szego_sweep's bit for bit, so an equal |phi_s|^2
+    # is the same splice; the splice moves only where two degrees' mismatches
+    # tie to rounding, and off a zero K depends on it (2e-12 relative here at
+    # a candidate 20 ulp off its zero, under two OpenBLAS threads)
+    schur = fixed_rule_schur(stream, cap)
+    z, lam = cosine_candidates(schur, 256, 1.0)
+    K, d, mod2 = _two_sided_sweep(schur, 256, z, lam)
+    K0, d0, mod20 = two_sided_reference(schur, 256, z, lam)
+    mis, mis0 = np.abs(d).reshape(2, 256), np.abs(d0).reshape(2, 256)
+    assert np.array_equal(mis[1] < mis[0], mis0[1] < mis0[0])
+    same = mod2 == mod20
+    assert np.mean(same) > 0.8
+    assert np.max(np.abs(K / K0 - 1.0)[same]) < 1e-13
+    assert np.max(np.abs(np.abs(d) - np.abs(d0))[~same], initial=0.0) < 1e-15
+    assert np.max(np.abs(d * mod2 / K - d0 * mod20 / K0)) < 1e-15
 
 
 def test_cap09_n256_weights_match_the_kernel_at_polished_zeros():
@@ -539,17 +572,17 @@ def test_cap09_moments_match_mpmath_levinson():
 # sequences (x86-64, numpy 2.4, OpenBLAS 0.3.31: the cosines are LAPACK
 # eigenvalues, so another LAPACK may move their last bits).  Cap-0.6 streams 0
 # and 3 were the two passing rules nearest the 1e-9 exactness tolerance when
-# the forward kernel weighed them; the spliced weights stamp 4.4e-14 and
-# 6.9e-14 and move by at most 1e-8 under a one-ulp node shift
+# the forward kernel weighed them; the spliced weights stamp 4.3e-14 and
+# 7.1e-14 and move by at most 1e-8 under a one-ulp node shift
 # (test_guarantees.py), and every node is within 1 ulp of mp_reference.zeros.
 # eigvalsh at n = 256 changes its last bits with the OpenBLAS thread count, and
 # the Newton-refined nodes keep some of that (all three digests differ under 1
 # and 2 threads), so the rules are computed in a child interpreter with one
 # thread, the benchmark's setting, whatever the count of the test process.
 NODE_DIGESTS = {
-    (0.6, 0): "89a3446b6c3a7ee9e45f6da0ed3a37837c3fc1df60ccb54b54fe6448ef28a73d",
-    (0.6, 3): "b757885d41e62d02f5cc16cc9877fd97afb1a883cb3b5442c36ca4d71be689a0",
-    (0.9, 1): "33d1550da5619f0ed8be3bb90f50eedf058f12296f62147ccfd154f27e327136",
+    (0.6, 0): "e5d51c1373c35a8e5d2a556b352ec0c7ec101165008b46db01be1a4b45aa2903",
+    (0.6, 3): "c098418a81b76951005beaf66d50db5a0ad954ee680ad1fd73bc9455c5cbed85",
+    (0.9, 1): "33e9c1f015fb6a0c1d6eea89832c3d9cda70093d87fd0d068fac58fd5c67acc5",
 }
 _ONE_THREAD_DIGESTS = """
 import hashlib, json, sys

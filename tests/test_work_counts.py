@@ -8,15 +8,18 @@ degree, one for the balls of the isolated anchors, and no zero cloud.  An
 alternating ladder weighs the nodes of all its rules in one kernel sweep.
 The counters wrap the zero solver the families call, numpy's general and
 Hermitian eigenvalue solvers (a rule above quadrature.HERMITIAN_MAX_ORDER
-takes its zeros from the cosines of one Hermitian solve), the sweep the
-families call, the kernel diagonal the ladder and the rules call, and the
-dilation.
+takes its zeros from the cosines of one Hermitian solve), the dense CMV
+matrix the zero solver builds up to that order, the sweep the families
+call, the kernel diagonal the ladder and the rules call, and the dilation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import szego_quad.opuc as opuc
+import szego_quad.quadrature as quad
 import szego_quad.sof as sof
 import szego_quad.support as sup
 from szego_quad import (
@@ -31,10 +34,15 @@ from szego_quad import (
     support_estimate,
 )
 
+from conftest import fixed_rule_schur
+
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"solves": 0, "eigvals": 0, "eigvalsh": 0, "sweeps": 0, "kernels": 0, "dilations": 0}
+    tally = {
+        "solves": 0, "eigvals": 0, "eigvalsh": 0, "cmv": 0, "sweeps": 0, "kernels": 0,
+        "dilations": 0,
+    }
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -46,6 +54,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(sof, "invariant_zeros", counted(sof.invariant_zeros, "solves"))
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(quad, "cmv_matrix", counted(quad.cmv_matrix, "cmv"))
     monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
     # kernel_diag runs its recurrence through the module's own szego_sweep
     monkeypatch.setattr(opuc, "szego_sweep", counted(opuc.szego_sweep, "kernels"))
@@ -110,3 +119,22 @@ def test_order_256_rule_makes_one_hermitian_eigensolve(counts):
     assert rule.order == 256
     assert counts["eigvalsh"] == 1
     assert counts["eigvals"] == 0
+
+
+def test_order_256_rule_builds_no_dense_cmv_matrix(counts):
+    # the eigensolve reads the band of C + C^H assembled from the blocks of
+    # L and M, so the peak is the sweep's 16 bytes per candidate and degree
+    # (2 MiB at 512 candidates)
+    schur = fixed_rule_schur(1, 0.9)
+    table, m = build_opuc(schur, 256), moments_from_schur(schur, 256)
+    pop = make_pop(table, 256, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        rule = make_rule(table, m, pop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rule.order == 256
+    assert counts["cmv"] == 0
+    assert counts["eigvalsh"] == 1
+    assert peak <= 2.5 * 2**20
