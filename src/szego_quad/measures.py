@@ -28,7 +28,7 @@ from .errors import (
     OffCircle,
     checked_int,
 )
-from .opuc import CIRCLE_TOL, SCHUR_GUARD, SchurSequence
+from .opuc import CIRCLE_TOL, SCHUR_GUARD, SchurSequence, cmv_bands
 
 RESOLUTION_TOL = 1e-10
 # schur_from_moments stops where e_n departs from e_{n-1} (1 - |a_n|^2) by
@@ -535,27 +535,19 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
 def moments_from_schur(schur: SchurSequence, K: int) -> MomentTable:
     """Moments c_0..c_K of the measure with the given Schur coefficients.
 
-    c_k = (C^k)[0, 0] for the unitary (K + 1) x (K + 1) CMV matrix C = L M of
-    a_1..a_K with last Verblunsky parameter 1 (cmv_matrix), the Szego rule
-    exact on |k| <= K.  C is applied as the 2 x 2 blocks of M, then of L, and
-    never formed; the closing parameter puts a 1 on the diagonal.  Needs K <=
+    c_k = (C^k)[0, 0] for the unitary (K + 1) x (K + 1) CMV matrix C of a_1..a_K
+    closed by lam = -1, the Szego rule exact on |k| <= K: C @ v, the banded
+    product of cmv_bands, is iterated from e_0 and never formed.  Needs K <=
     max_order, since c_K is only determined once a_K is known.
     """
     K = checked_int(K, "K", 0, schur.max_order)
-    n = K + 1
-    g, rho = -np.conj(schur.coefficients[:K]), schur.rho[:K]
-    blocks = [
-        (slice(j, K, 2), slice(j + 1, n, 2), np.conj(g[j::2]), rho[j::2], -g[j::2])
-        for j in (1, 0)
-    ]
-    v = np.zeros(n, dtype=complex)
+    C = cmv_bands(schur, K + 1, -1.0)
+    v = np.zeros(K + 1, dtype=complex)
     v[0] = 1.0
-    c = np.empty(n, dtype=complex)
-    for k in range(n):
+    c = np.empty(K + 1, dtype=complex)
+    for k in range(K + 1):
         c[k] = v[0]
-        for x, y, d, r, e in blocks:
-            vx, vy = v[x], v[y]
-            v[x], v[y] = d * vx + r * vy, r * vx + e * vy
+        v = C @ v
     return MomentTable(c)
 
 

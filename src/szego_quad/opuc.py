@@ -11,8 +11,9 @@ a_n, rho_n = sqrt(1 - |a_n|^2) and the squared norms e_0 = 1, e_n = prod_k
 (1 - |a_k|^2), and every reader takes rho and e from it.  The reproducing
 kernel of degree n is K_n(z, y) = sum_k Phi_k(z) conj(Phi_k(y)) / e_k.
 Values and kernel diagonals K_n(z, z) come from the normalized recurrence,
-zeros and moments from the CMV matrix (cmv_matrix; cmv_hermitian_lower
-assembles the lower triangle of C + C^H from its blocks).  szego_sweep yields
+zeros and moments from the CMV matrix, held as its five bands (cmv_bands,
+which apply C to a vector or to the columns of a matrix; cmv_matrix forms
+the dense product L M for the tests to compare against).  szego_sweep yields
 every degree of one recurrence run and szego_values is its last step, so a
 family anchored at w takes all its degrees from one sweep at w, and one
 kernel_diag sweep reads each point at its own degree.  _two_sided_sweep
@@ -156,7 +157,7 @@ def szego_values(schur: SchurSequence, n: int, z):
 
 def _cmv_factors(schur: SchurSequence, n: int, lam):
     """Diagonals of L and M (rows 0 and 1) and their off-diagonal rho_1..rho_{n-1},
-    whose entry k sits in L for even k and in M for odd k (cmv_matrix)."""
+    whose entry k sits in L for even k and in M for odd k (cmv_matrix, cmv_bands)."""
     g = np.append(-np.conj(schur.coefficients[: n - 1]), -np.conj(complex(lam)))
     diag = np.empty((2, n), dtype=complex)
     for par in (0, 1):
@@ -172,7 +173,8 @@ def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
     Simon's convention (Cantero-Moral-Velazquez, LAA 362, 2003) for the parameters
     g = -conj(a_1), ..., -conj(a_{n-1}), -conj(lam): blocks [[conj(g), rho], [rho, -g]],
     even ones in L, odd ones in M after its leading 1, the last one as conj(g) alone;
-    rho_1..rho_{n-1} are read from schur, since |g_k| = |a_k|."""
+    rho_1..rho_{n-1} are read from schur, since |g_k| = |a_k|.  The dense product is
+    the reference the tests hold cmv_bands to; no library path forms it."""
     diag, rho = _cmv_factors(schur, n, lam)
     L, M = np.diag(diag[0]), np.diag(diag[1])
     ks = np.arange(n - 1)
@@ -181,24 +183,45 @@ def cmv_matrix(schur: SchurSequence, n: int, lam) -> np.ndarray:
     return L @ M
 
 
-def cmv_hermitian_lower(schur: SchurSequence, n: int, lam) -> np.ndarray:
-    """The lower triangle of C + C^H, C = cmv_matrix(schur, n, lam), from the blocks
-    of L and M alone; the strict upper triangle is zero.  L and M are tridiagonal
-    with off-diagonals in disjoint places, so C is pentadiagonal: C_kk = L_kk M_kk;
-    C_{k+1,k} and C_{k,k+1} are rho_k times M_kk and M_{k+1,k+1} for even k (rho_k
-    in L), times L_{k+1,k+1} and L_kk for odd k; and the second off-diagonals of
-    C + C^H are rho_k rho_{k+1}.  Only the diagonal is a product of two complex
-    numbers, so the band matches the matrix product to its rounding, and
-    eigvalsh, which reads the lower triangle, needs no dense L, M or C."""
+@dataclass(frozen=True, eq=False)
+class CmvBands:
+    """The five bands of the pentadiagonal CMV matrix C = L M (cmv_bands): the
+    diagonal C_kk, the first off-diagonals C_{k+1,k} (below) and C_{k,k+1}
+    (above), and the second off-diagonal rho_k rho_{k+1}, which is C_{k,k+2} for
+    even k and C_{k+2,k} for odd k.  C @ X is the banded product for a vector
+    X or for the columns of a matrix X."""
+
+    diag: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    second: np.ndarray
+
+    def __matmul__(self, X):
+        X = np.asarray(X)
+        col = (slice(None),) + (None,) * (X.ndim - 1)
+        Y = self.diag[col] * X
+        Y[1:] += self.below[col] * X[:-1]
+        Y[:-1] += self.above[col] * X[1:]
+        Y[:-2:2] += self.second[0::2][col] * X[2::2]
+        Y[3::2] += self.second[1::2][col] * X[1:-2:2]
+        return Y
+
+
+def cmv_bands(schur: SchurSequence, n: int, lam) -> CmvBands:
+    """The bands of C = cmv_matrix(schur, n, lam) from the blocks of L and M alone.
+    L and M are tridiagonal with off-diagonals in disjoint places, so C_kk = L_kk
+    M_kk; C_{k+1,k} and C_{k,k+1} are rho_k times M_kk and M_{k+1,k+1} for even k
+    (rho_k in L), times L_{k+1,k+1} and L_kk for odd k; and the second
+    off-diagonal is rho_k rho_{k+1}.  Only the diagonal is a product of two
+    complex numbers, so the bands match the matrix product to its rounding."""
     (dl, dm), rho = _cmv_factors(schur, n, lam)
-    H = np.zeros((n, n), dtype=complex)
-    c = dl * dm
-    H.flat[:: n + 1] = c + np.conj(c)
     in_l = np.arange(n - 1) % 2 == 0
-    below, above = np.where(in_l, dm[:-1], dl[1:]), np.where(in_l, dm[1:], dl[:-1])
-    H.flat[n :: n + 1] = rho * below + np.conj(rho * above)
-    H.flat[2 * n :: n + 1] = rho[:-1] * rho[1:]
-    return H
+    return CmvBands(
+        diag=dl * dm,
+        below=rho * np.where(in_l, dm[:-1], dl[1:]),
+        above=rho * np.where(in_l, dm[1:], dl[:-1]),
+        second=rho[:-1] * rho[1:],
+    )
 
 
 def kernel_diag(table: SchurSequence, n, z):

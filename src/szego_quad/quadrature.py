@@ -11,21 +11,18 @@ member_rule_parts: make_rule hands it a pop's zeros, rule_from_sof and
 f_sequence semi-orthogonal members' rule nodes.  weights_via_integral
 recomputes them independently, one Vandermonde solve on nodes and moments.
 
-Orders up to HERMITIAN_MAX_ORDER = 64, where the family paths solve one
-eigenproblem per degree, take the zeros from eigh of the Hermitian part of
-the CMV matrix: 0.15 ms per solve against 0.48 ms for eigvals at n = 32 and
-0.71 against 2.07 ms at n = 64 (one OpenBLAS thread, 2-core x86-64), and
-their weights from one batched forward kernel_diag sweep.  Larger orders
-take only the cosines, from eigvalsh of the lower triangle of C + C^H
-assembled from the 2 x 2 blocks of L and M (opuc.cmv_hermitian_lower, no
-dense L, M or C), each sine's sign and one Newton step from a two-sided
-recurrence sweep that splices a forward and a backward pass where they
-agree best (opuc._two_sided_sweep, 16 bytes per point and degree), and the
-weights from the same sweep at the final nodes (_spliced_weights).  At
-n = 256 the zeros take 15 ms against 82 ms for eigvals, with no
-eigenvectors, and the weights 12 ms against 2.5 ms for the forward sum,
-which loses their relative accuracy: past the peak of |phi_k| it picks up
-the growing solution.
+Every order takes its zeros from eigh of the Hermitian part of the CMV
+matrix, its lower band filled from the bands of C (opuc.cmv_bands, no dense
+L, M or C): the Rayleigh quotients v^H C v of the eigenvectors, and eigvals
+on the subspace of each run of equal cosines.  A solve takes 0.17 ms at
+n = 32, 0.6 ms at n = 64 and 15 ms at n = 256 (one OpenBLAS thread, 2-core
+x86-64).  Rule weights of order up to FORWARD_KERNEL_MAX_ORDER = 64, the
+ladders', come from one batched forward kernel_diag sweep; larger orders
+take them from two-sided recurrence sweeps that splice a forward and a
+backward pass where they agree best (opuc._two_sided_sweep, 16 bytes per
+point and degree; _spliced_weights), 12 ms at n = 256 against 2.5 ms for
+the forward sum, which loses their relative accuracy: past the peak of
+|phi_k| it picks up the growing solution.
 """
 
 from __future__ import annotations
@@ -34,23 +31,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import TWO_PI, circular_distance, fold_angle
+from .circle import TWO_PI, fold_angle
 from .errors import ModulusMismatch, ZeroCountMismatch, checked_int
 from .measures import MomentTable
-from .opuc import SchurSequence, _two_sided_sweep, cmv_hermitian_lower, cmv_matrix, kernel_diag
+from .opuc import CmvBands, SchurSequence, _two_sided_sweep, cmv_bands, kernel_diag
 from .poly import ComplexPolynomial
 
 ANGLE_TOL = 2e-14
-# The largest order whose zeros come from eigh of the Hermitian part of the
-# CMV matrix with Rayleigh quotients, and whose weights from one batched
-# forward kernel_diag sweep: the family paths solve one eigenproblem per
-# degree, and a ladder weighs all its rules at once.  Larger orders take the
-# cosines from eigvalsh alone, each sine's sign and a Newton step from one
-# two-sided sweep, and the weights from another at the final nodes.
-HERMITIAN_MAX_ORDER = 64
+# The largest order whose rule weights come from one batched forward
+# kernel_diag sweep, which a ladder's rules share; larger orders take theirs
+# from two-sided sweeps (_spliced_weights), since the forward sum loses the
+# weights' relative accuracy past the peak of |phi_k(z_k)|.
+FORWARD_KERNEL_MAX_ORDER = 64
 CLUSTER_GAP = 1e-6
-# two zeros of one run of equal cosines closer than this are one zero
-_SAME_ZERO = 1e-12
+# columns of C V formed at once for the Rayleigh quotients: 256 KB at n = 256
+_RAYLEIGH_BLOCK = 64
 _BASE_SNAP = 1e-9
 _FIRST_GRID = 16
 _MAX_GRID = 1024
@@ -161,60 +156,32 @@ def circle_zero_angles(value_fn, count, omega0=0.0, *, angle_tol=ANGLE_TOL):
         m *= 2
 
 
-def _cmv_eigenvalues(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a unitary matrix of order up to HERMITIAN_MAX_ORDER, from its Hermitian part.
+def _cmv_eigenvalues(C: CmvBands) -> np.ndarray:
+    """Eigenvalues of the CMV matrix with bands C, from its Hermitian part.
 
     H = C + C^H has the eigenvalues 2 cos(theta) and the eigenvectors of C, so
-    each column v of eigh(H) gives an eigenvalue of C as the Rayleigh quotient v^H C v.
-    A run of eigenvalues of H closer than CLUSTER_GAP (a conjugate pair shares
-    one cosine) spans an invariant subspace of C, resolved by eigvals there."""
-    cosines, V = np.linalg.eigh(C + C.conj().T)
-    CV = C @ V
-    z = (V.conj() * CV).sum(axis=0)
+    each column v of eigh(H) gives an eigenvalue of C as the Rayleigh quotient
+    v^H C v.  eigh reads the lower triangle alone, filled from the bands; C V
+    is formed _RAYLEIGH_BLOCK columns at a time once H is freed.  A run of
+    eigenvalues of H closer than CLUSTER_GAP (a conjugate pair shares one
+    cosine) spans an invariant subspace of C, resolved by eigvals there."""
+    n = len(C.diag)
+    H = np.zeros((n, n), dtype=complex)
+    H.flat[:: n + 1] = C.diag + np.conj(C.diag)
+    H.flat[n :: n + 1] = C.below + np.conj(C.above)
+    H.flat[2 * n :: n + 1] = C.second
+    cosines, V = np.linalg.eigh(H)
+    del H
+    z = np.empty(n, dtype=complex)
+    for j in range(0, n, _RAYLEIGH_BLOCK):
+        Vj = V[:, j : j + _RAYLEIGH_BLOCK]
+        z[j : j + _RAYLEIGH_BLOCK] = np.vecdot(Vj, C @ Vj, axis=0)
     starts = np.flatnonzero(cosines[1:] - cosines[:-1] > CLUSTER_GAP) + 1
-    if len(starts) < len(C) - 1:  # some run holds more than one cosine
-        for run in np.split(np.arange(len(C)), starts):
+    if len(starts) < n - 1:  # some run holds more than one cosine
+        for run in np.split(np.arange(n), starts):
             if len(run) > 1:
-                z[run] = np.linalg.eigvals(V[:, run].conj().T @ CV[:, run])
+                z[run] = np.linalg.eigvals(V[:, run].conj().T @ (C @ V[:, run]))
     return z
-
-
-def _cosine_zeros(schur: SchurSequence, n: int, lam) -> np.ndarray:
-    """Angles of the eigenvalues of the order-n CMV matrix with boundary lam, from
-    the cosines of its Hermitian part and one two-sided sweep.
-
-    eigvalsh of C + C^H, its lower triangle assembled from the blocks of L
-    and M (cmv_hermitian_lower), gives 2 cos(theta); of the candidates
-    +-arccos, the one whose forward and backward recurrence passes agree
-    better at their splice is the zero (the other is no zero, and its passes
-    do not align).  One Newton step on the splice mismatch then removes the
-    error of arccos, which is ill-conditioned next to theta = 0 and pi.  A
-    conjugate pair shares one cosine and aligns at both signs, so a run of
-    cosines closer than CLUSTER_GAP takes the distinct zeros of least
-    mismatch among its candidates, each zero once (_one_per_zero)."""
-    cosines = np.linalg.eigvalsh(cmv_hermitian_lower(schur, n, lam))
-    theta = np.arccos(np.clip(0.5 * cosines, -1.0, 1.0))
-    candidates = np.concatenate((theta, -theta))
-    K, mismatch, mod2 = _two_sided_sweep(schur, n, np.exp(1j * candidates), lam)
-    zeros = candidates - mismatch * mod2 / K
-    misfit = np.abs(mismatch)
-    pick = np.where(misfit[n:] < misfit[:n], np.arange(n) + n, np.arange(n))
-    for run in np.split(np.arange(n), np.flatnonzero(np.diff(cosines) > CLUSTER_GAP) + 1):
-        if len(run) > 1:
-            pick[run] = _one_per_zero(zeros, misfit, np.concatenate((run, run + n)), len(run))
-    return zeros[pick]
-
-
-def _one_per_zero(zeros, misfit, candidates, count):
-    """count of the candidates, by least misfit, whose zeros lie further than
-    _SAME_ZERO from every one taken before; then the nearest others, if the run
-    holds fewer distinct zeros than cosines."""
-    order = candidates[np.argsort(misfit[candidates], kind="stable")]
-    taken = []
-    for c in order:
-        if np.all(circular_distance(zeros[c], zeros[taken]) > _SAME_ZERO):
-            taken.append(c)
-    return (taken + [c for c in order if c not in taken])[:count]
 
 
 def pop_boundary(schur: SchurSequence, n: int, t) -> complex:
@@ -227,17 +194,13 @@ def pop_boundary(schur: SchurSequence, n: int, t) -> complex:
 def invariant_zeros(schur: SchurSequence, n: int, t, omega0=0.0) -> np.ndarray:
     """Sorted angles in [omega0, omega0 + 2 pi) of the n zeros of Phi_n + t Phi_n*, |t| = 1.
 
-    They are the eigenvalues of cmv_matrix(schur, n, lam), lam = pop_boundary(schur,
-    n, t): up to HERMITIAN_MAX_ORDER by _cmv_eigenvalues, above it by _cosine_zeros.
-    A root within 1e-9 of the upper window edge is folded onto omega0."""
+    They are the eigenvalues of the CMV matrix closed by lam = pop_boundary(schur,
+    n, t), from its bands by _cmv_eigenvalues at every order.  A root within 1e-9
+    of the upper window edge is folded onto omega0."""
     if n == 0:
         return np.empty(0, dtype=float)
-    lam = pop_boundary(schur, n, t)
-    if n <= HERMITIAN_MAX_ORDER:
-        angles = np.angle(_cmv_eigenvalues(cmv_matrix(schur, n, lam)))
-    else:
-        angles = _cosine_zeros(schur, n, lam)
-    roots = fold_angle(angles, omega0)
+    C = cmv_bands(schur, n, pop_boundary(schur, n, t))
+    roots = fold_angle(np.angle(_cmv_eigenvalues(C)), omega0)
     return np.sort(np.where((omega0 + TWO_PI) - roots < _BASE_SNAP, omega0, roots))
 
 
@@ -286,19 +249,19 @@ def member_rule_parts(table: SchurSequence, node_sets, omega0):
     phi_{n-1} + lam phi_{n-1}* = 0 at every node).  The angles are folded into
     [omega0, omega0 + 2 pi) and sorted, and each node is weighed by H_k = 1 /
     K_{n-1}(z_k, z_k) at its own set's n.  One kernel_diag sweep weighs every
-    node of every set of order up to HERMITIAN_MAX_ORDER, bit-identical to a
+    node of every set of order up to FORWARD_KERNEL_MAX_ORDER, bit-identical to a
     kernel_diag call per set.  A larger set takes K from two-sided sweeps with
     its lam (_spliced_weights): the forward sum alone picks up the solution
     that grows past the peak of |phi_k(z_k)| and loses the weights' relative
     accuracy."""
     nodes = [np.sort(fold_angle(angles, omega0)) for angles, _ in node_sets]
-    small = [angles for angles in nodes if len(angles) <= HERMITIAN_MAX_ORDER]
+    small = [angles for angles in nodes if len(angles) <= FORWARD_KERNEL_MAX_ORDER]
     orders = np.array([len(angles) for angles in small], dtype=int)
     points = np.exp(1j * np.concatenate(small)) if small else np.empty(0, dtype=complex)
     K = kernel_diag(table, np.repeat(orders - 1, orders), points)
     small_weights = iter(np.split(1.0 / K, np.cumsum(orders)[:-1]))
     weights = [
-        next(small_weights) if len(angles) <= HERMITIAN_MAX_ORDER
+        next(small_weights) if len(angles) <= FORWARD_KERNEL_MAX_ORDER
         else _spliced_weights(table, angles, lam)
         for angles, (_, lam) in zip(nodes, node_sets)
     ]
@@ -349,28 +312,28 @@ def make_rule(table: SchurSequence, m: MomentTable, pop: InvariantPop, omega0=0.
     return _kernel_rule(m, angles, weights, omega0, src)
 
 
-def rule_from_sof(table: SchurSequence, m: MomentTable, inst, omega0=None) -> QuadratureRule:
-    """Quadrature rule on a semi-orthogonal member's rule nodes (SofInstance.rule_nodes).
+def rule_from_sof(table: SchurSequence, m: MomentTable, inst) -> QuadratureRule:
+    """Quadrature rule on a semi-orthogonal member's rule nodes (SofInstance.rule_nodes),
+    in the member's own window.
 
     An instance whose rule nodes are not index many raises ValueError.  The
     weights are the table's kernel and the nodes the member's, so a table
     whose first order - 1 Schur coefficients differ from the member's raises
     ValueError.  A member that carries its rule nodes and weights (f_sequence
-    builds them with member_rule_parts) has them taken as they are when
-    omega0 is its own window; only the exactness defect is stamped.
+    builds them with member_rule_parts) has them taken as they are; only the
+    exactness defect is stamped.
     """
-    omega0 = float(inst.omega0 if omega0 is None else omega0)
     order = inst.index
     _check_member_table(table, inst.table, order - 1)
     nodes = inst.rule_nodes
     if len(nodes) != order:
         raise ValueError(f"instance with {len(inst.zeros)} zeros cannot drive an order-{order} rule")
     src = f"sof({inst.label})" if inst.label else "sof"
-    if inst.rule_weights is not None and omega0 == inst.omega0:
+    if inst.rule_weights is not None:
         angles, weights = inst.rule_angles, inst.rule_weights
     else:
-        ((angles, weights),) = member_rule_parts(table, [(nodes, inst.rule_boundary)], omega0)
-    return _kernel_rule(m, angles, weights, omega0, src)
+        ((angles, weights),) = member_rule_parts(table, [(nodes, inst.rule_boundary)], inst.omega0)
+    return _kernel_rule(m, angles, weights, inst.omega0, src)
 
 
 def weights_via_integral(rule: QuadratureRule, m: MomentTable, p: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from szego_quad import (
     sof_members,
     zero_cloud,
 )
-from szego_quad.opuc import cmv_hermitian_lower, cmv_matrix, szego_sweep, szego_values
+from szego_quad.opuc import cmv_bands, cmv_matrix, szego_sweep, szego_values
 
 from conftest import gram_schmidt_monic, poly_inner, random_schur
 
@@ -328,15 +328,36 @@ def test_cmv_matrix_unitary_with_characteristic_polynomial(rng):
         assert np.max(np.abs(np.poly(c)[::-1] - target.padded(n + 1))) < 1e-12
 
 
+def band_diagonals(A):
+    """The diagonals A_{k+d,k}, d = -2..2 (d > 0 below the main diagonal)."""
+    return {d: np.diagonal(A, -d).copy() for d in range(-2, 3)}
+
+
 @pytest.mark.parametrize("lam", [1.0, -1.0, np.exp(0.7j)])
-@pytest.mark.parametrize("n", [65, 66, 129, 256])
+@pytest.mark.parametrize("n", [*range(1, 70), 100, 129, 256])
 def test_cmv_hermitian_band_matches_the_matrix_product(rng, n, lam):
-    # odd and even n close the last block in L and in M; the matrix product
-    # rounds its diagonal with FMA, so the band is held to 2 ulp of the
-    # moduli summed into each entry, not to its bits
+    # odd and even n close the last block in L and in M.  The matrix product
+    # rounds its diagonal with FMA, so the bands and the Hermitian band eigh
+    # reads are held to 2 ulp of the moduli summed into each entry, not to
+    # their bits; off the five bands the matrix is zero.  Each side of C X
+    # rounds up to five complex products and their sum, so it is held to
+    # 4 ulp of the moduli summed (3.0 at the worst over these inputs)
     schur = random_schur(rng, n, cap=0.9)
-    C = cmv_matrix(schur, n, lam)
-    want = np.tril(C + C.conj().T)
-    got = cmv_hermitian_lower(schur, n, lam)
-    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.tril(np.abs(C) + np.abs(C.conj().T))))
-    assert not np.triu(got, 1).any()
+    C, bands = cmv_matrix(schur, n, lam), cmv_bands(schur, n, lam)
+    absC = np.abs(C)
+    even = np.arange(n - 2) % 2 == 0
+    above2, below2 = np.where(even, bands.second, 0.0), np.where(even, 0.0, bands.second)
+    want, ulp = band_diagonals(C), band_diagonals(2 * np.spacing(absC))
+    got = {0: bands.diag, 1: bands.below, -1: bands.above, -2: above2, 2: below2}
+    for d in got:
+        assert np.all(np.abs(got[d] - want[d]) <= ulp[d]), d
+    assert not np.triu(C, 3).any() and not np.tril(C, -3).any()
+    # the lower band of C + C^H: the diagonal, below + conj(above), rho_k rho_{k+1}
+    H, Hulp = band_diagonals(C + C.conj().T), band_diagonals(2 * np.spacing(absC + absC.T))
+    for d, band in ((0, bands.diag + np.conj(bands.diag)),
+                    (1, bands.below + np.conj(bands.above)), (2, bands.second)):
+        assert np.all(np.abs(band - H[d]) <= Hulp[d]), d
+    X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    bound = 4 * np.spacing(absC @ np.abs(X))
+    assert np.all(np.abs(bands @ X - C @ X) <= bound)
+    assert np.all(np.abs(bands @ X[:, 0] - C @ X[:, 0]) <= bound[:, 0])

@@ -6,11 +6,12 @@ takes all its anchor values from one recurrence sweep per anchor.  It makes
 one pass over those zero sets: one epsilon-dilation per anchor and read
 degree, one for the balls of the isolated anchors, and no zero cloud.  An
 alternating ladder weighs the nodes of all its rules in one kernel sweep.
-The counters wrap the zero solver the families call, numpy's general and
-Hermitian eigenvalue solvers (a rule above quadrature.HERMITIAN_MAX_ORDER
-takes its zeros from the cosines of one Hermitian solve), the dense CMV
-matrix the zero solver builds up to that order, the sweep the families
-call, the kernel diagonal the ladder and the rules call, and the dilation.
+The counters wrap the zero solver the families call, numpy's general
+eigenvalue solver and its Hermitian eigensolver (a zero set at any order
+takes one Hermitian solve, and the general one only on clusters of
+cosines), the dense CMV matrix that no library path builds, the sweep the
+families call, the kernel diagonal the ladder and the rules call, and the
+dilation.
 """
 
 import tracemalloc
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 import szego_quad.opuc as opuc
-import szego_quad.quadrature as quad
 import szego_quad.sof as sof
 import szego_quad.support as sup
 from szego_quad import (
@@ -40,7 +40,7 @@ from conftest import fixed_rule_schur
 @pytest.fixture
 def counts(monkeypatch):
     tally = {
-        "solves": 0, "eigvals": 0, "eigvalsh": 0, "cmv": 0, "sweeps": 0, "kernels": 0,
+        "solves": 0, "eigvals": 0, "eigh": 0, "cmv": 0, "sweeps": 0, "kernels": 0,
         "dilations": 0,
     }
 
@@ -53,8 +53,8 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(sof, "invariant_zeros", counted(sof.invariant_zeros, "solves"))
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals, "eigvals"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
-    monkeypatch.setattr(quad, "cmv_matrix", counted(quad.cmv_matrix, "cmv"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(opuc, "cmv_matrix", counted(opuc.cmv_matrix, "cmv"))
     monkeypatch.setattr(sof, "szego_sweep", counted(sof.szego_sweep, "sweeps"))
     # kernel_diag runs its recurrence through the module's own szego_sweep
     monkeypatch.setattr(opuc, "szego_sweep", counted(opuc.szego_sweep, "kernels"))
@@ -112,19 +112,20 @@ def test_support_estimate_checks_epsilon_before_numerics(counts):
 
 
 def test_order_256_rule_makes_one_hermitian_eigensolve(counts):
-    # no CMV matrix above HERMITIAN_MAX_ORDER goes through the general solver
+    # the zeros of Phi_n + Phi_n* have no conjugate pair here, so no cluster
+    # of cosines goes through the general solver
     schur = SchurSequence(0.6 * np.exp(0.7j * np.arange(256)))
     table = build_opuc(schur, 256)
     rule = make_rule(table, moments_from_schur(schur, 256), make_pop(table, 256, 1.0, 1.0))
     assert rule.order == 256
-    assert counts["eigvalsh"] == 1
+    assert counts["eigh"] == 1
     assert counts["eigvals"] == 0
 
 
 def test_order_256_rule_builds_no_dense_cmv_matrix(counts):
-    # the eigensolve reads the band of C + C^H assembled from the blocks of
-    # L and M, so the peak is the sweep's 16 bytes per candidate and degree
-    # (2 MiB at 512 candidates)
+    # eigh reads the band of C + C^H filled from the bands of C, and C V is
+    # formed in column blocks once that matrix is freed, so the peak is eigh's
+    # matrix and eigenvectors, 1 MiB each at n = 256
     schur = fixed_rule_schur(1, 0.9)
     table, m = build_opuc(schur, 256), moments_from_schur(schur, 256)
     pop = make_pop(table, 256, 1.0, 1.0)
@@ -136,5 +137,5 @@ def test_order_256_rule_builds_no_dense_cmv_matrix(counts):
         tracemalloc.stop()
     assert rule.order == 256
     assert counts["cmv"] == 0
-    assert counts["eigvalsh"] == 1
+    assert counts["eigh"] == 1
     assert peak <= 2.5 * 2**20
