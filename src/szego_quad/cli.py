@@ -51,8 +51,16 @@ PARAMS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, so they exit 2
+    with the one JSON error object; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="szego-quad",
         description="Szego quadrature, circle zero sets, interlacing and support reports.",
     )
@@ -329,9 +337,8 @@ def _run(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        _run(args)
+        _run(_build_parser().parse_args(argv))
         return 0
     except ConfigError as err:
         _emit_error(err)

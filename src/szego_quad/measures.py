@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Union
 
 import numpy as np
@@ -39,7 +38,20 @@ RECURRENCE_TOL = 1e-8
 # K = 2 n_max + 2 panels on degrees <= n_max + 1, a span <= pi.  Over those
 # spans the 16-point rule integrates e^{i phi} on [-1, 1] to 1.3e-15 or
 # better (8 points: 1.7e-10), and grid doubling still checks every result.
+# The rule is stored, so no run imports numpy.polynomial: leggauss(16)
+# (Golub-Welsch), nodes odd and weights even, checked against it in a test.
 _GL_POINTS = 16
+_GL_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 # panels per full circle or arc behind measure_integral: the kink of
 # |sin(theta / 2)| at 0 sits on a panel edge of the full circle, so it
 # integrates to 1e-12
@@ -314,23 +326,13 @@ class MomentTable:
 # discretization
 
 
-@cache
-def _gl_rule():
-    """The _GL_POINTS-point Gauss-Legendre rule on [-1, 1], computed once, read-only."""
-    rule = np.polynomial.legendre.leggauss(_GL_POINTS)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
 def _gl_panels(lo, hi, P):
     """Nodes and weights of P equal Gauss-Legendre panels covering [lo, hi]."""
-    x, wq = _gl_rule()
     edges = np.linspace(lo, hi, P + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return theta, (half[:, None] * wq[None, :]).ravel()
+    theta = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    return theta, (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
 
 def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True):

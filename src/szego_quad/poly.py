@@ -1,7 +1,8 @@
 """Dense complex polynomial arithmetic.
 
-numpy.polynomial is imported inside the three methods that use it, which
-serve output and test oracles, so importing the package does not load it."""
+numpy.polynomial is imported inside __call__ and derivative, the two methods
+that use it; they serve polyseq inputs, output and test oracles, so no
+measure, rule or CLI run loads it."""
 
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ class ComplexPolynomial:
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1:
             raise ValueError("coefficients must form a one-dimensional sequence")
+        if not c.size:
+            raise ValueError("coefficients must not be empty")
         end = len(c)
         while end > 1 and c[end - 1] == 0:
             end -= 1
@@ -48,9 +51,7 @@ class ComplexPolynomial:
 
     def at_angle(self, theta):
         """Evaluate at exp(i*theta); theta may be an array."""
-        from numpy.polynomial import polynomial as npoly
-
-        return npoly.polyval(np.exp(1j * np.asarray(theta, dtype=float)), self.coeffs)
+        return self(np.exp(1j * np.asarray(theta, dtype=float)))
 
     def padded(self, length):
         if length < len(self.coeffs):

@@ -315,6 +315,33 @@ def test_missing_required_flag_exits_2(capsys):
     assert "parameters.n" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rule", "--n", "2.5"], "argument --n: invalid int value: '2.5'"),
+        (["rule", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["rule", "--n"], "argument --n: expected one argument"),
+        (["bogus"], "argument task: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: task"),
+    ],
+)
+def test_usage_errors_are_config_errors(capsys, argv, message):
+    # argparse's own errors take the one failure channel: exit 2 and one JSON
+    # object on stderr, no usage text
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert message in doc["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rule", "--help"])
+    assert exc.value.code == 0
+    assert "--anchor-angle" in capsys.readouterr().out
+
+
 def test_support_rejects_csv(capsys):
     rc, _, err = run(capsys, ["support", "--n-max", "8", "--epsilon", "0.5", "--format", "csv"])
     assert rc == 2

@@ -286,6 +286,18 @@ def arc_moments_closed_form(name, lo, hi, K):
     return np.exp(1j * k * lo) * c / L
 
 
+def test_stored_panel_rule_is_leggauss():
+    # bit for bit on the machine that wrote the table; another LAPACK may round
+    # leggauss's own eigensolve differently, so the check allows 1 ulp
+    x, w = meas._GL_NODES, meas._GL_WEIGHTS
+    assert len(x) == len(w) == meas._GL_POINTS
+    assert not (x.flags.writeable or w.flags.writeable)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(meas._GL_POINTS)
+    assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(w - ref_w) <= np.spacing(ref_w))
+
+
 @pytest.mark.parametrize("name", ["uniform", "hann"])
 @pytest.mark.parametrize("width", [0.5, 1.0, np.pi, 2 * np.pi - 0.1])
 @pytest.mark.parametrize("K", [8, 16, 32, 64, 128])

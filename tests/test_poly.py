@@ -99,17 +99,69 @@ def test_shifted():
     assert np.allclose(p.shifted(2).coeffs, [0, 0, 1.0, 2.0])
 
 
-def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
-    # only the evaluation methods, which serve output and test oracles, import
-    # it; a fresh interpreter, since this one has loaded it for other tests
+def run_fresh(probe):
+    """stdout of probe run in a fresh interpreter, since this one has loaded
+    numpy.polynomial for other tests."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, szego_quad.cli; print('numpy.polynomial' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
-        timeout=60,
+        timeout=120,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # only __call__ and derivative, which serve polyseq inputs, output and
+    # test oracles, import it
+    probe = "import sys, szego_quad.cli; print('numpy.polynomial' in sys.modules)"
+    assert run_fresh(probe).strip() == "False"
+
+
+RUN_PATHS = """
+import contextlib, io, sys
+import numpy as np
+from szego_quad import (ArcDensity, Density, Mixture, f_sequence, make_pop, make_rule,
+    measure_integral, moments, rule_from_sof, schur_from_measure, support_estimate)
+from szego_quad.cli import TASKS, main
+
+arc = ArcDensity("uniform", (1.0, 3.0))
+specs = [arc, Density("one_minus_cos"), Mixture(((0.5, arc), (0.5, Density("uniform"))))]
+for spec in specs:
+    m = moments(spec, 18)
+    table = schur_from_measure(spec, 8)
+    measure_integral(spec, np.cos)
+    make_rule(table, m, make_pop(table, 8, 1.0, 1.0))
+    for inst in f_sequence(table, [np.exp(0.5j)], 8):
+        rule_from_sof(table, m, inst)
+    support_estimate(spec, [1.0], 8, 0.3)
+measure = '{"variant": "arc_density", "name": "uniform", "arc": [1.0, 3.0]}'
+argv = {
+    "moments": ["--n", "4"], "schur": ["--n-max", "4"], "rule": ["--n", "4"],
+    "zeros": ["--n-max", "4"], "interlace": ["--n-max", "4"], "fsequence": ["--n-max", "4"],
+    "support": ["--n-max", "8", "--epsilon", "0.3"],
+}
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for task in argv:
+        codes.append(main([task, "--measure", measure, *argv[task]]))
+print(sorted(argv) == sorted(t for t in TASKS if t != "validate"), codes)
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_no_measure_rule_or_cli_run_loads_numpy_polynomial():
+    # moments, extraction, reference integrals, rules, ladders and support on
+    # an arc (its panels read the stored Gauss-Legendre table), a full-circle
+    # density and a mixture, then every CLI task on an arc
+    tasks, loaded = run_fresh(RUN_PATHS).strip().split("\n")
+    assert tasks == "True [0, 0, 0, 0, 0, 0, 0]"
+    assert loaded == "False"
+
+
+def test_empty_coefficients_are_refused():
+    with pytest.raises(ValueError, match="must not be empty"):
+        ComplexPolynomial([])
