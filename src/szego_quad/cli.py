@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -53,7 +54,12 @@ PARAMS = {
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are ConfigErrors, so they exit 2
-    with the one JSON error object; subparsers inherit the class."""
+    with the one JSON error object, and which reads a negative number in
+    exponent form (-1e-3, -2.5E+4) as a value; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")

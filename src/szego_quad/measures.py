@@ -385,15 +385,19 @@ def _discretize(spec: MeasureSpec, K: int, level: int = 0, periodic: bool = True
 
 
 def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic=True, first=0):
-    """compute(theta, weights) on the discretization and on its doubling.
+    """compute(theta, weights, reference) on the discretization, with reference
+    None, and on its doubling, with the coarse result as reference.
 
-    The finer result is returned once the two agree to RESOLUTION_TOL;
-    otherwise IntegrationResolution names the first entry that drifts by
-    its index, first + i for entry i (the degree, for Schur coefficients).
+    A compute may stop at the first entry that drifts from its reference by
+    more than RESOLUTION_TOL; the check reads the common prefix.  The finer
+    result is returned once the two agree to RESOLUTION_TOL; otherwise
+    IntegrationResolution names the largest drift of that prefix and the
+    first entry that drifts, by its index first + i for entry i (the degree,
+    for Schur coefficients).
     """
-    coarse = compute(*_discretize(spec, K, 0, periodic))
-    fine = compute(*_discretize(spec, K, 1, periodic))
-    drifts = np.abs(np.atleast_1d(fine - coarse))
+    coarse = np.atleast_1d(compute(*_discretize(spec, K, 0, periodic), None))
+    fine = compute(*_discretize(spec, K, 1, periodic), coarse)
+    drifts = np.abs(np.atleast_1d(fine) - coarse[: np.size(fine)])
     drift = float(np.max(drifts)) if drifts.size else 0.0
     if drift > RESOLUTION_TOL:
         index = first + int(np.argmax(drifts > RESOLUTION_TOL))
@@ -407,15 +411,31 @@ def _resolved(spec: MeasureSpec, K: int, compute, what: str, periodic=True, firs
     return fine
 
 
+# moments are summed this many rows at a time
+_MOMENT_BLOCK = 8
+
+
+def _moment_sums(theta, weights, K: int) -> np.ndarray:
+    """sum_j w_j e^{i k theta_j} for k = 0..K, _MOMENT_BLOCK rows at a time as
+    e^{i k0 theta} e^{i r theta}, r < _MOMENT_BLOCK, so the (K + 1) x M table
+    of exponentials is never formed; each product rounds to a few ulp."""
+    rows = np.exp(1j * np.outer(np.arange(min(K + 1, _MOMENT_BLOCK)), theta))
+    c = np.empty(K + 1, dtype=complex)
+    for k0 in range(0, K + 1, _MOMENT_BLOCK):
+        c[k0 : k0 + _MOMENT_BLOCK] = rows[: K + 1 - k0] @ (weights * np.exp(1j * k0 * theta))
+    return c
+
+
 def moments(spec: MeasureSpec, K: int) -> MomentTable:
-    """Trigonometric moments c_k, k = 0..K, of the unit-mass measure."""
+    """Trigonometric moments c_k, k = 0..K, of the unit-mass measure, summed
+    over the discretization in blocks (_moment_sums) and checked by grid
+    doubling."""
     K = checked_int(K, "K", 0)
     if isinstance(spec, Lebesgue):
         # closed form: the trapezoid sums of roots of unity are not exactly 0
         c = np.zeros(K + 1, dtype=complex)
     else:
-        ks = np.arange(K + 1)
-        c = _resolved(spec, K, lambda t, w: np.exp(1j * np.outer(ks, t)) @ w, "moment")
+        c = _resolved(spec, K, lambda t, w, _: _moment_sums(t, w, K), "moment")
     c[0] = 1.0
     return MomentTable(c)
 
@@ -424,7 +444,7 @@ def measure_integral(spec: MeasureSpec, fn) -> float:
     """Integral of a continuous real function of the angle against the
     unit-mass measure; reference values for convergence probes.  Checked by
     grid doubling like the moments."""
-    integrate = lambda t, w: np.asarray(fn(t), dtype=float) @ w
+    integrate = lambda t, w, _: np.asarray(fn(t), dtype=float) @ w
     return float(_resolved(spec, _INTEGRAL_PANELS, integrate, "integral", periodic=False))
 
 
@@ -436,7 +456,9 @@ def _degenerate(n, what, **detail):
     return NotPositiveDefinite(f"moment form degenerates at degree {n}: {what}", n=n, **detail)
 
 
-def _gram_schmidt(phi, n_max: int, shift, inners, norm, dim=None, tol=np.inf) -> np.ndarray:
+def _gram_schmidt(
+    phi, n_max: int, shift, inners, norm, dim=None, tol=np.inf, reference=None
+) -> np.ndarray:
     """a_1..a_{n_max} by classical Gram-Schmidt of z Phi_n against
     Phi_0..Phi_n, one pass per entry of inners, a_{n+1} = -<z Phi_n, 1> / e_n.
 
@@ -445,7 +467,9 @@ def _gram_schmidt(phi, n_max: int, shift, inners, norm, dim=None, tol=np.inf) ->
     B and norm(v) = <v, v>.  Growing (coefficient) vectors use their leading
     v.size entries only, so degree n does not depend on n_max.  The first
     degree n at which e_n or |a_n| leaves its range, or e_n departs from
-    e_{n-1} (1 - |a_n|^2) beyond tol, raises NotPositiveDefinite.
+    e_{n-1} (1 - |a_n|^2) beyond tol, raises NotPositiveDefinite.  Given
+    reference coefficients, a_1..a_n are returned at the first degree n,
+    once e_n is checked, where |a_n - reference[n - 1]| > RESOLUTION_TOL.
     """
     basis = np.zeros((n_max, dim or phi.size), dtype=complex)
     e, out = np.empty(n_max + 1), np.empty(n_max, dtype=complex)
@@ -455,6 +479,8 @@ def _gram_schmidt(phi, n_max: int, shift, inners, norm, dim=None, tol=np.inf) ->
             raise _degenerate(n, f"e_{n} = {e[n]:.17g}")
         if n and abs(e[n] / (e[n - 1] * (1.0 - abs(out[n - 1]) ** 2)) - 1.0) > tol:
             raise _degenerate(n, f"e_{n} = {e[n]:.17g} departs from e_{n - 1} (1 - |a_{n}|^2)")
+        if n and reference is not None and abs(out[n - 1] - reference[n - 1]) > RESOLUTION_TOL:
+            return out[:n]
         if n == n_max:
             return out
         basis[n, : phi.size] = phi
@@ -496,7 +522,7 @@ def schur_from_moments(m: MomentTable, n_max: int) -> SchurSequence:
     return SchurSequence(a)
 
 
-def _value_extract(theta, weights, n_max: int) -> np.ndarray:
+def _value_extract(theta, weights, n_max: int, reference=None) -> np.ndarray:
     """Schur coefficients of a discrete measure by Gram-Schmidt on node
     values, so no Toeplitz conditioning is paid; e_n = weights @ |Phi_n|^2.
     The first pass takes one matrix-vector product; the second, which fixes
@@ -507,7 +533,9 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
     bc - ad), and zdotu sums the negated imaginary parts to the exact
     negation of the same sum, so every a_n is bit-identical to the direct
     form while one product per basis vector is saved.  The products stay one
-    row at a time: v conj(B) at once costs an (n + 1) x M temporary."""
+    row at a time: v conj(B) at once costs an (n + 1) x M temporary.  Given
+    reference coefficients, it stops at the first degree that drifts from
+    them (_gram_schmidt)."""
     z = np.exp(1j * theta)
     wc = weights.astype(complex)
     bulk = lambda v, B: np.conj(B @ np.conj(weights * v))
@@ -517,7 +545,8 @@ def _value_extract(theta, weights, n_max: int) -> np.ndarray:
         return np.conj(np.array([np.dot(wc, cv * b) for b in B]))
 
     norm = lambda v: float(weights @ np.abs(v) ** 2)
-    return _gram_schmidt(np.ones_like(z), n_max, lambda v: z * v, (bulk, exact), norm)
+    shift = lambda v: z * v
+    return _gram_schmidt(np.ones_like(z), n_max, shift, (bulk, exact), norm, reference=reference)
 
 
 def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
@@ -526,11 +555,14 @@ def schur_from_measure(spec: MeasureSpec, n_max: int) -> SchurSequence:
     The discretized measure avoids the Toeplitz solve of schur_from_moments,
     but on arcs accuracy still falls with e_n: grid doubling holds to n_max = 48
     on the uniform half circle, 24 on the uniform arc [1, 3], 12 on hann [1, 2].
-    Past that, IntegrationResolution names the drift and the first drifting
-    degree, or NotPositiveDefinite the first with e_n <= 0 or |a_n| > SCHUR_GUARD.
+    The coarse grid runs to n_max, and its NotPositiveDefinite (the first
+    degree with e_n <= 0 or |a_n| > SCHUR_GUARD) comes first.  The doubled
+    grid stops at the first degree that drifts from the coarse one: its own
+    NotPositiveDefinite up to that degree, else IntegrationResolution naming
+    that degree and its drift.
     """
     n_max = checked_int(n_max, "n_max", 0)
-    extract = lambda t, w: _value_extract(t, w, n_max)
+    extract = lambda t, w, coarse: _value_extract(t, w, n_max, coarse)
     return SchurSequence(_resolved(spec, 2 * n_max + 2, extract, "Schur", first=1))
 
 

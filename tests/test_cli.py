@@ -335,6 +335,23 @@ def test_usage_errors_are_config_errors(capsys, argv, message):
     assert message in doc["message"]
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+4", "-0.001", "-1"])
+def test_negative_number_after_a_flag_is_a_value(capsys, value):
+    # exponent forms too: argparse's own pattern takes -1e-3 for an option
+    spaced = run(capsys, ["rule", "--n", "3", "--omega0", value])
+    joined = run(capsys, ["rule", "--n", "3", f"--omega0={value}"])
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+def test_negative_exponent_for_an_integer_flag_exits_2(capsys):
+    rc, out, err = run(capsys, ["rule", "--n", "-1e-3"])
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert "argument --n: invalid int value: '-1e-3'" in doc["message"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rule", "--help"])

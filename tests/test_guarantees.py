@@ -49,7 +49,7 @@ def test_n256_weights_absorb_a_one_ulp_node_shift():
 @pytest.mark.xfail(
     strict=True,
     raises=IntegrationResolution,
-    reason="ROADMAP item 2: value extraction drifts by 4.4e-9 at index 48 under grid doubling",
+    reason="ROADMAP item 2: value extraction drifts by 1.5e-10 at index 48 under grid doubling",
 )
 def test_half_circle_extraction_reaches_degree_60():
     assert schur_from_measure(ArcDensity("uniform", (0, np.pi)), 60).max_order == 60

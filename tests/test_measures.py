@@ -32,6 +32,8 @@ from szego_quad import (
 from conftest import poly_inner, random_schur
 
 ARC = (np.pi / 2, 3 * np.pi / 2)
+# a uniform arc and an atom off it, weights 1 : 0.3
+ARC_AND_ATOM = Mixture(((1.0, ArcDensity("uniform", (0.5, 2.0))), (0.3, Atomic(((4.0, 1.0),)))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,32 @@ def test_moment_window_inclusive():
     assert np.allclose(w, np.exp(1j * 0.9 * np.arange(-2, 3)), atol=1e-14)
 
 
+@pytest.mark.parametrize("arc", [(0.0, np.pi), (1.0, 3.0), (1.0, 2.0)])
+def test_blockwise_moments_of_uniform_arcs_match_the_closed_form(arc):
+    lo, hi = arc
+    k = np.arange(1, 61)
+    exact = (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (1j * k * (hi - lo))
+    c = moments(ArcDensity("uniform", arc), 60).c
+    assert c[0] == 1.0
+    assert np.max(np.abs(c[1:] - exact)) <= 2e-15
+
+
+def test_blockwise_moments_of_bernstein_szego_match_the_closed_form():
+    c = moments(Density(name="bernstein_szego", param=0.6), 100).c
+    assert np.max(np.abs(c - 0.6 ** np.arange(101))) <= 4e-15
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 8, 9])
+def test_blockwise_moments_match_the_direct_sum(K):
+    # around the block edge of 8 rows: the sum of the returned (finer) grid
+    # over the full table of exponentials
+    theta, weights = meas._discretize(ARC_AND_ATOM, K, 1)
+    direct = np.exp(1j * np.outer(np.arange(K + 1), theta)) @ weights
+    c = moments(ARC_AND_ATOM, K).c
+    assert c[0] == 1.0
+    assert np.max(np.abs(c[1:] - direct[1:]), initial=0.0) <= 1e-15
+
+
 def test_resolution_guard_near_singular_density():
     # pole of the density just off the circle defeats the default grid
     spec = Density(name="bernstein_szego", param=0.999)
@@ -343,7 +371,9 @@ def test_resolution_error_names_the_degree():
     with pytest.raises(IntegrationResolution) as exc:
         schur_from_measure(spec, 60)
     assert exc.value.detail["index"] == 48
-    assert exc.value.detail["drift"] > 4.4e-9
+    # the doubled grid stops at degree 48, so the drift is that degree's
+    coarse, fine = (meas._value_extract(*meas._discretize(spec, 122, level), 60) for level in (0, 1))
+    assert exc.value.detail["drift"] == abs(fine[47] - coarse[47])
     assert "first at index 48" in str(exc.value)
     assert "only when the density is under-resolved" in str(exc.value)
 
@@ -526,6 +556,17 @@ def test_schur_from_measure_arc_reaches_high_degree():
     assert all(0.70 < t < 0.715 for t in tail)
 
 
+def arc_case(*components):
+    arcs = tuple((w, ArcDensity(name, (lo, hi))) for w, name, lo, hi in components)
+    return arcs[0][1] if len(arcs) == 1 else Mixture(arcs)
+
+
+HALF = arc_case((1.0, "uniform", 0.0, np.pi))
+HANN = arc_case((1.0, "hann", 0.0, np.pi))
+TWO = arc_case((1.0, "uniform", 0.5, 1.5), (1.0, "uniform", 3.0, 4.5))
+NARROW = arc_case((1.0, "hann", 1.0, 2.0))
+
+
 def direct_value_extract(theta, weights, n_max):
     """The value route with the second pass as sum w v conj(b), one product per term."""
     z = np.exp(1j * theta)
@@ -547,12 +588,7 @@ def direct_value_extract(theta, weights, n_max):
 )
 def test_value_extract_bit_identical_to_direct_form(components, level):
     # conj(v) b is the exact conjugate of v conj(b), and so is its weighted sum
-    arcs = [ArcDensity(name, (lo, hi)) for _, name, lo, hi in components]
-    if len(arcs) == 1:
-        spec = arcs[0]
-    else:
-        spec = Mixture(tuple((w, a) for (w, *_), a in zip(components, arcs)))
-    theta, weights = meas._discretize(spec, 2 * 32 + 2, level)
+    theta, weights = meas._discretize(arc_case(*components), 2 * 32 + 2, level)
 
     def outcome(extract):
         # the narrow hann arc degenerates before degree 32: the error carries
@@ -563,6 +599,82 @@ def test_value_extract_bit_identical_to_direct_form(components, level):
             return str(err)
 
     assert outcome(meas._value_extract) == outcome(direct_value_extract)
+
+
+def extraction_outcome(extract, spec, n_max):
+    """The coefficient bytes, or the error class and its degree."""
+    try:
+        return extract(spec, n_max).tobytes()
+    except (NotPositiveDefinite, IntegrationResolution) as err:
+        return type(err).__name__, err.detail.get("n", err.detail.get("index"))
+
+
+def full_two_level(spec, n_max):
+    """The extraction without the early stop: both grids run to n_max, then
+    the drift check reads every degree."""
+    K = 2 * n_max + 2
+    coarse = meas._value_extract(*meas._discretize(spec, K, 0), n_max)
+    fine = meas._value_extract(*meas._discretize(spec, K, 1), n_max)
+    drifting = np.abs(fine - coarse) > meas.RESOLUTION_TOL
+    if drifting.any():
+        raise IntegrationResolution("drift", index=1 + int(np.argmax(drifting)))
+    return fine
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [
+        *((spec, n) for spec in (HALF, HANN, TWO, NARROW) for n in (8, 32)),
+        (HALF, 48),
+        (TWO, 48),
+        (Density(name="one_minus_cos"), 32),
+        (ARC_AND_ATOM, 16),
+    ],
+)
+def test_early_stop_keeps_every_outcome_of_the_full_two_level_extraction(spec, n_max):
+    # passing extractions keep every bit; the narrow arc at 32 keeps the
+    # coarse grid's NotPositiveDefinite at 27, which comes first
+    got = extraction_outcome(lambda s, n: schur_from_measure(s, n).coefficients, spec, n_max)
+    assert got == extraction_outcome(full_two_level, spec, n_max)
+    if spec is NARROW and n_max == 32:
+        assert got == ("NotPositiveDefinite", 27)
+    else:
+        assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("spec, stop", [(HALF, 48), (HANN, 47)])
+def test_doubled_grid_stops_at_the_first_drifting_degree(monkeypatch, spec, stop):
+    lengths = []
+    extract = meas._value_extract
+
+    def counted(*args, **kwargs):
+        out = extract(*args, **kwargs)
+        lengths.append(out.size)
+        return out
+
+    monkeypatch.setattr(meas, "_value_extract", counted)
+    with pytest.raises(IntegrationResolution) as exc:
+        schur_from_measure(spec, 60)
+    assert exc.value.detail["index"] == stop
+    assert lengths == [60, stop]
+
+
+@pytest.mark.parametrize(
+    "spec, n_max, index",
+    [
+        # each doubled grid degenerates past its first drifting degree (at 28,
+        # 53 and, with two OpenBLAS threads, 40), so stopping there turns a
+        # NotPositiveDefinite into IntegrationResolution; the mixture's late
+        # degrees move with the thread count, and at n_max 40 both give 20
+        (NARROW, 28, 13),
+        (ArcDensity("uniform", (1.0, 3.0)), 53, 25),
+        (ARC_AND_ATOM, 40, 20),
+    ],
+)
+def test_first_drifting_degree_precedes_a_later_degeneracy(spec, n_max, index):
+    with pytest.raises(IntegrationResolution) as exc:
+        schur_from_measure(spec, n_max)
+    assert exc.value.detail["index"] == index
 
 
 def test_schur_from_measure_atomic_degenerates_identically():
